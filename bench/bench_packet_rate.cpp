@@ -11,8 +11,8 @@
 //   bench_packet_rate [--packets N] [--json PATH]
 //
 // With --json the results (rates plus the datapath copy/alloc counters)
-// are written as a JSON document; the repo keeps a committed snapshot in
-// BENCH_datapath.json.
+// are written as a JSON document; the committed snapshot is
+// BENCH_hotpath.json, gated by tools/bench_check.py.
 //
 // --shards 1,2,4,8 switches to the sharded-engine scaling sweep instead:
 // a fixed fleet of one-hop pairs is partitioned across N engine shards

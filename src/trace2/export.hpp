@@ -3,8 +3,7 @@
 //   * to_chrome_json — Chrome trace-event JSON ("Complete" X events plus
 //     flow arrows for parent links), loadable in chrome://tracing and
 //     ui.perfetto.dev so a whole simulated run can be scrubbed visually;
-//   * to_spans_jsonl — one JSON object per span, machine-readable (the
-//     input format of tools/postmortem.py);
+//   * to_spans_jsonl — one JSON object per span, machine-readable;
 //   * postmortem / postmortem_text — joins spans with the stats event
 //     timeline (PR 1) into the paper-relevant per-failover decomposition:
 //     last report from the failed replica → detector fired → management

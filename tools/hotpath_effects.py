@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Hot-path effect analyzer: whole-program lint for the datapath's
 no-alloc/no-lock/no-throw/no-I/O contract (DESIGN.md §12).
 
@@ -49,11 +48,9 @@ The release configuration is what the contract describes, so regions under
 `#if HYDRANET_INVARIANTS` / `#if HYDRANET_TRACING` (compiled out of
 Release) are stripped before analysis.
 
-Analysis is token-level by default (always available, deterministic); call
-edges upgrade to AST accuracy via libclang + compile_commands.json when
-both are available, and any libclang failure falls back to the token scan,
-so the gate never skips.  Token-level traversal rules, chosen to mirror
-what the Clang attribute layer would enforce:
+Analysis is token-level over the shared scanner (tools/source_scan.py),
+so it always runs and reads the same text on every toolchain.  Traversal
+rules, chosen to mirror what the Clang attribute layer would enforce:
 
   - indirect calls (std::function, member pointers) are not followed, and
     lambda bodies are excised before callee extraction: a callback is
@@ -71,14 +68,12 @@ what the Clang attribute layer would enforce:
     their declared files so an unrelated same-named function elsewhere
     cannot widen a root's own closure.
 
-Exit 0 clean, 1 findings — empty-baseline policy, like every other mode of
-tools/run_static.py.
+run_static.py's `effects` mode runs it against an empty baseline.
 """
 
-import argparse
-import pathlib
 import re
-import sys
+
+from source_scan import blank, collect_markers, marker_drift, match_bracket
 
 # ---- the contract tables ---------------------------------------------------
 
@@ -273,297 +268,157 @@ IO_PATTERNS = [
 
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
-STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-
-
-def repo_sources(source_dir):
-    root = pathlib.Path(source_dir) / "src"
-    return sorted(p for p in root.rglob("*") if p.suffix in (".cpp", ".hpp"))
-
-
-def strip_comments(text):
-    """Removes // and /* */ comments, preserving line structure."""
-    text = re.sub(r"/\*.*?\*/",
-                  lambda m: re.sub(r"[^\n]", " ", m.group(0)), text,
-                  flags=re.DOTALL)
-    return re.sub(r"//[^\n]*", "", text)
-
-
-def blank_strings(text):
-    """Replaces string-literal contents with spaces (keeps the quotes), so
-    token scans can't match inside literals.  Line structure preserved."""
-    return STRING_RE.sub(lambda m: '"' + " " * (len(m.group(0)) - 2) + '"',
-                         text)
-
-
-def strip_release_off_regions(text):
-    """Blanks regions under `#if M` / `#ifdef M` for macros the Release
-    build defines to 0 (OFF_MACROS), keeping any #else branch.  Unknown
-    conditions keep both branches (conservative).  Preserves line count."""
-    out = []
-    # Stack of (handled, active): `handled` means this level's condition was
-    # one of the simple forms below; `active` whether lines are kept.
-    stack = []
-    simple_if = re.compile(
-        r"#\s*(if|ifdef|ifndef)\s+(?:defined\s*\(\s*)?(\w+)\s*\)?\s*$")
-    for line in text.splitlines():
-        stripped = line.strip()
-        match = simple_if.match(stripped)
-        if stripped.startswith("#") and match:
-            directive, macro = match.group(1), match.group(2)
-            if macro in OFF_MACROS:
-                active = directive == "ifndef"
-                stack.append([True, active])
-            else:
-                stack.append([False, True])
-            out.append("")
-            continue
-        if stripped.startswith("#if"):  # complex condition: keep both arms
-            stack.append([False, True])
-            out.append("")
-            continue
-        if stripped.startswith("#else") and stack:
-            if stack[-1][0]:
-                stack[-1][1] = not stack[-1][1]
-            out.append("")
-            continue
-        if stripped.startswith("#elif") and stack:
-            if stack[-1][0]:
-                stack[-1][1] = False  # past the handled arm: drop the rest
-            out.append("")
-            continue
-        if stripped.startswith("#endif") and stack:
-            stack.pop()
-            out.append("")
-            continue
-        if any(not active for _, active in stack):
-            out.append("")
-        else:
-            out.append(line)
-    return "\n".join(out)
-
-
+SPACE_RE = re.compile(r"\s*")
+MEMBER_RE = re.compile(r"\s*[A-Za-z_]\w*\s*")
+ESCAPE_RE = re.compile(r"\b" + ESCAPE_OPEN + r"(_END)?\b")
+DIRECTIVE_RE = re.compile(r"\s*#\s*(if|ifdef|ifndef|elif|else|endif)\b(.*)")
+OFF_CONDITION_RE = re.compile(r"\s*(?:defined\s*\(\s*)?(\w+)\s*\)?\s*")
 LAMBDA_INTRO_RE = re.compile(
     r"\]\s*(\([^()]*\))?\s*(mutable\s*)?(noexcept\s*)?"
     r"(->\s*[\w:<>&*,\s]+?)?\s*\{")
-
-
-def strip_lambda_bodies(text):
-    """Blanks the contents of lambda bodies (keeps the braces and line
-    structure).  A lambda is deferred work: its effects belong to its own
-    contract, not to the function that merely constructs it — the same
-    boundary the scheduler's cb() dispatch escape draws at runtime."""
-    while True:
-        changed = False
-        for match in LAMBDA_INTRO_RE.finditer(text):
-            brace = match.end() - 1
-            end = match_forward(text, brace, "{", "}")
-            if end < 0:
-                continue
-            inner = text[brace + 1:end - 1]
-            if not inner.strip():
-                continue
-            blanked = re.sub(r"[^\n]", " ", inner)
-            text = text[:brace + 1] + blanked + text[end - 1:]
-            changed = True
-            break  # offsets shifted: rescan
-        if not changed:
-            return text
-
-
-def load_file(path):
-    """Comment-stripped, release-configured text with blanked strings and
-    excised lambda bodies (for scanning) and with strings intact (for
-    justification extraction)."""
-    raw = strip_release_off_regions(strip_comments(path.read_text()))
-    return strip_lambda_bodies(blank_strings(raw)), raw
-
-
-# ---- function extraction ---------------------------------------------------
-
-
 QUALIFIER_RE = re.compile(
     r"\s*(const|noexcept|override|final|mutable|HN_\w+(\s*\([^)]*\))?"
     r"|\[\[[^\]]*\]\]|->\s*[\w:<>,*&\s]+)")
 
 
-def match_forward(text, start, open_ch, close_ch):
-    """Index just past the bracket matching text[start] (== open_ch), or -1."""
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == open_ch:
-            depth += 1
-        elif text[i] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
+# ---- what the rules read -----------------------------------------------------
+
+
+def blank_release_off(code):
+    """`code` with the regions under `#if M` / `#ifdef M` blanked for the
+    macros the Release build defines to 0 (OFF_MACROS), keeping any #else
+    branch.  Unknown conditions keep both branches (conservative).  The
+    conditional directives are blanked too; every offset is kept."""
+    lines = code.split("\n")
+    stack = []  # per open #if: [condition is an OFF macro, lines kept]
+    for i, line in enumerate(lines):
+        directive = DIRECTIVE_RE.match(line)
+        kind = directive.group(1) if directive else None
+        if kind in ("if", "ifdef", "ifndef"):
+            macro = OFF_CONDITION_RE.fullmatch(directive.group(2))
+            handled = bool(macro) and macro.group(1) in OFF_MACROS
+            stack.append([handled, kind == "ifndef" or not handled])
+        elif kind == "else" and stack:
+            if stack[-1][0]:
+                stack[-1][1] = not stack[-1][1]
+        elif kind == "elif" and stack:
+            if stack[-1][0]:
+                stack[-1][1] = False  # past the handled arm: drop the rest
+        elif kind == "endif" and stack:
+            stack.pop()
+        elif all(kept for _handled, kept in stack):
+            continue
+        lines[i] = blank(line)
+    return "\n".join(lines)
+
+
+def blank_lambda_bodies(code):
+    """`code` with the contents of lambda bodies blanked (braces and every
+    offset kept).  A lambda is deferred work: its effects belong to its own
+    contract, not to the function that merely constructs it — the same
+    boundary the scheduler's cb() dispatch escape draws at runtime."""
+    out, done = [], 0
+    for match in LAMBDA_INTRO_RE.finditer(code):
+        brace = match.end() - 1
+        end = match_bracket(code, brace) if brace >= done else -1
+        if end > 0:
+            out += [code[done:brace + 1], blank(code[brace + 1:end])]
+            done = end
+    return "".join(out) + code[done:]
+
+
+def scan_text(src):
+    """The text the effect rules read: the lexed file as Release compiles
+    it, lambda bodies excised, every offset and line unchanged."""
+    return blank_lambda_bodies(blank_release_off(src.code))
+
+
+# ---- function extraction ---------------------------------------------------
 
 
 def skip_initializer_list(text, pos):
     """From a ':' starting a constructor init list, returns the index of the
     body '{', or -1 when this isn't an init list after all."""
     pos += 1  # past ':'
-    while pos < len(text):
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        m = IDENT_RE.match(text, pos)
-        if not m:
+    while True:
+        member = MEMBER_RE.match(text, pos)
+        if not member:
             return -1
-        pos = m.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos < len(text) and text[pos] == "<":  # templated base
-            pos = match_forward(text, pos, "<", ">")
+        pos = member.end()
+        if text.startswith("<", pos):  # templated base
+            pos = match_bracket(text, pos)
             if pos < 0:
                 return -1
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-        if pos >= len(text) or text[pos] not in "({":
+            pos = SPACE_RE.match(text, pos + 1).end()
+        if not text.startswith(("(", "{"), pos):
             return -1
-        end = match_forward(text, pos, text[pos],
-                            ")" if text[pos] == "(" else "}")
+        end = match_bracket(text, pos)
         if end < 0:
             return -1
-        pos = end
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos < len(text) and text[pos] == ",":
-            pos += 1
-            continue
-        if pos < len(text) and text[pos] == "{":
-            return pos
-        return -1
-    return -1
+        pos = SPACE_RE.match(text, end + 1).end()
+        if not text.startswith(",", pos):
+            return pos if text.startswith("{", pos) else -1
+        pos += 1
 
 
-def extract_functions(scan_text):
-    """[(name, body, body_start_line)] for every function definition found
-    in comment/string-stripped text.  Token-level: a name followed by a
-    balanced parameter list, optional qualifiers / init list, then '{'."""
+def extract_functions(text):
+    """[(name, body_start, body_end)] for every function definition in a
+    scan text.  Token-level: a name followed by a balanced parameter list,
+    optional qualifiers / init list, then a balanced '{' body."""
     functions = []
-    for match in CALL_RE.finditer(scan_text):
+    for match in CALL_RE.finditer(text):
         name = match.group(1)
         if name in KEYWORDS:
             continue
-        paren_start = scan_text.index("(", match.end(1))
-        after_params = match_forward(scan_text, paren_start, "(", ")")
-        if after_params < 0:
+        close = match_bracket(text, match.end() - 1)
+        if close < 0:
             continue
-        pos = after_params
+        pos = close + 1
         while True:
-            qual = QUALIFIER_RE.match(scan_text, pos)
+            qual = QUALIFIER_RE.match(text, pos)
             if qual is None or qual.end() == pos:
                 break
             pos = qual.end()
-        while pos < len(scan_text) and scan_text[pos].isspace():
-            pos += 1
-        if pos >= len(scan_text):
+        pos = SPACE_RE.match(text, pos).end()
+        if text.startswith(":", pos) and not text.startswith("::", pos):
+            pos = skip_initializer_list(text, pos)
+        if pos < 0 or not text.startswith("{", pos):
             continue
-        if scan_text[pos] == ":":
-            if scan_text[pos:pos + 2] == "::":
-                continue  # qualified expression, not an init list
-            pos = skip_initializer_list(scan_text, pos)
-            if pos < 0:
-                continue
-        if scan_text[pos] != "{":
-            continue
-        body_end = match_forward(scan_text, pos, "{", "}")
-        if body_end < 0:
-            continue
-        body = scan_text[pos:body_end]
-        body_line = scan_text.count("\n", 0, pos) + 1
-        functions.append((name, body, body_line))
+        end = match_bracket(text, pos)
+        if end > 0:
+            functions.append((name, pos, end + 1))
     return functions
 
 
-# ---- marker scan ------------------------------------------------------------
+# ---- markers and their catalogue -------------------------------------------
 
 
-def marker_function_name(scan_text, marker_pos):
+def marker_function_name(text, match):
     """The function a trailing effect marker annotates: the identifier that
     owns the parameter list immediately before the marker."""
-    prefix = scan_text[:marker_pos].rstrip()
-    while True:
+    prefix = text[:match.start()].rstrip()
+    trimmed = True
+    while trimmed:
         trimmed = False
         for qual in ("const", "noexcept", "override", "final"):
             if prefix.endswith(qual):
                 prefix = prefix[:-len(qual)].rstrip()
                 trimmed = True
-        if not trimmed:
-            break
     if not prefix.endswith(")"):
         return None
-    depth = 0
-    for i in range(len(prefix) - 1, -1, -1):
-        ch = prefix[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-            if depth == 0:
-                head = prefix[:i].rstrip()
-                idents = IDENT_RE.findall(head[-160:])
-                return idents[-1] if idents else None
-    return None
+    opener = match_bracket(prefix, len(prefix) - 1)
+    if opener < 0:
+        return None
+    idents = IDENT_RE.findall(prefix[max(opener - 160, 0):opener])
+    return idents[-1] if idents else None
 
 
-def collect_markers(files):
-    """[(rel, line, marker, name)] for every effect marker in the tree."""
-    markers = []
-    for rel, (scan_text, _raw) in files.items():
-        if rel == MARKER_EXCLUDE:
-            continue
-        for marker in MARKER_OF.values():
-            for match in re.finditer(r"\b" + marker + r"\b", scan_text):
-                line = scan_text.count("\n", 0, match.start()) + 1
-                name = marker_function_name(scan_text, match.start())
-                markers.append((rel, line, marker, name))
-    return markers
-
-
-def check_marker_drift(files, markers, findings):
-    tabled = {}  # (rel, name) -> (marker, root_entry)
-    for name, root_files, effect in EFFECT_ROOTS:
-        for rel in root_files:
-            tabled[(rel, name)] = MARKER_OF[effect]
-    found = {(rel, name): marker for rel, _, marker, name in markers}
-    for rel, line, marker, name in markers:
-        expected = tabled.get((rel, name))
-        if expected is None:
-            findings.append(
-                f"{rel}:{line}: {marker} on `{name}` is not in the "
-                "hotpath_effects.py EFFECT_ROOTS table — new hot-path roots "
-                "must be catalogued there (and in DESIGN.md §12)")
-        elif expected != marker:
-            findings.append(
-                f"{rel}:{line}: `{name}` carries {marker} but EFFECT_ROOTS "
-                f"declares it {expected}")
-    for (rel, name), marker in sorted(tabled.items()):
-        if rel not in files:
-            continue  # fixture trees exercise single rules
-        if (rel, name) not in found:
-            findings.append(
-                f"{rel}: `{name}` is catalogued as a hot-path effect root "
-                f"but carries no {marker} marker")
-
-
-def check_doc_catalogue(source_dir, files, findings):
+def check_doc_catalogue(tree, findings):
     """Every root must be named in DESIGN.md §12 (real tree only)."""
     needed = {rel for _, root_files, _ in EFFECT_ROOTS for rel in root_files}
-    if not needed.issubset(files):
+    if not needed.issubset(tree.files):
         return  # partial tree (lint fixture): no doc contract
-    design = pathlib.Path(source_dir) / "DESIGN.md"
-    if not design.exists():
-        return
-    section, in_section = [], False
-    for line in design.read_text().splitlines():
-        if line.startswith("## "):
-            in_section = line.startswith("## 12.")
-            continue
-        if in_section:
-            section.append(line)
-    text = "\n".join(section)
+    text = "\n".join(tree.design_section(12))
     if not text.strip():
         findings.append(
             "DESIGN.md: no §12 effect-contract catalogue — the roots table "
@@ -579,18 +434,29 @@ def check_doc_catalogue(source_dir, files, findings):
 # ---- escape regions ---------------------------------------------------------
 
 
+def escape_justification(text, src, pos):
+    """The string literal(s) in the HN_EFFECT_ESCAPE(...) argument list
+    that starts at `pos`, concatenated; empty when there is none."""
+    paren = SPACE_RE.match(text, pos).end()
+    if not text.startswith("(", paren):
+        return ""
+    close = match_bracket(text, paren)
+    return "".join(value for offset, value in src.strings
+                   if paren < offset < close)
+
+
 def escape_regions(files, findings):
     """{rel: [(start_line, end_line)]} of HN_EFFECT_ESCAPE regions; also
     validates pairing and mandatory justification strings."""
     regions = {}
-    for rel, (scan_text, raw_text) in files.items():
+    for rel, (text, src) in files.items():
         if rel == MARKER_EXCLUDE:
             continue
         spans = []
         open_line = None
-        for lineno, (line, raw_line) in enumerate(
-                zip(scan_text.splitlines(), raw_text.splitlines()), 1):
-            if re.search(r"\b" + ESCAPE_CLOSE + r"\b", line):
+        for match in ESCAPE_RE.finditer(text):
+            lineno = src.line_of(match.start())
+            if match.group(1):  # the closing macro
                 if open_line is None:
                     findings.append(
                         f"{rel}:{lineno}: {ESCAPE_CLOSE} without a matching "
@@ -598,27 +464,12 @@ def escape_regions(files, findings):
                 else:
                     spans.append((open_line, lineno))
                     open_line = None
-                continue
-            if re.search(r"\b" + ESCAPE_OPEN + r"\b(?!_END)", line):
-                if open_line is not None:
-                    findings.append(
-                        f"{rel}:{lineno}: nested {ESCAPE_OPEN} — close the "
-                        "previous region first")
-                    continue
-                # The justification may wrap: search the raw text from the
-                # macro's argument list to its closing parenthesis.
-                raw_lines = raw_text.splitlines()
-                window = "\n".join(raw_lines[lineno - 1:lineno + 7])
-                opener = re.search(
-                    r"\b" + ESCAPE_OPEN + r"\b(?!_END)\s*\(", window)
-                justification = None
-                if opener:
-                    close = match_forward(window, opener.end() - 1, "(", ")")
-                    if close > 0:
-                        justification = re.search(
-                            r'"((?:[^"\\]|\\.)*)"',
-                            window[opener.end():close - 1])
-                if not justification or not justification.group(1).strip():
+            elif open_line is not None:
+                findings.append(
+                    f"{rel}:{lineno}: nested {ESCAPE_OPEN} — close the "
+                    "previous region first")
+            else:
+                if not escape_justification(text, src, match.end()).strip():
                     findings.append(
                         f"{rel}:{lineno}: {ESCAPE_OPEN} without a "
                         "justification string — every sanctioned escape "
@@ -642,13 +493,14 @@ def in_escape(regions, rel, lineno):
 def build_function_index(files):
     """{name: [(rel, body, body_start_line)]} over every definition."""
     index = {}
-    for rel, (scan_text, _raw) in files.items():
+    for rel, (text, src) in files.items():
         if rel == MARKER_EXCLUDE:
             continue
         if rel.startswith(RELEASE_EXCLUDED_PREFIXES):
             continue
-        for name, body, line in extract_functions(scan_text):
-            index.setdefault(name, []).append((rel, body, line))
+        for name, start, end in extract_functions(text):
+            index.setdefault(name, []).append(
+                (rel, text[start:end], src.line_of(start)))
     return index
 
 
@@ -659,64 +511,6 @@ def body_callees(body):
         if name not in KEYWORDS:
             names.add(name)
     return names
-
-
-def libclang_call_edges(source_dir, build_dir):
-    """{caller spelling: {callee spellings}} from the AST, or None when
-    libclang / compile_commands.json is unavailable or fails — the caller
-    then uses the token-level edges."""
-    try:
-        from clang import cindex  # noqa: PLC0415
-    except ImportError:
-        return None
-    compile_db = pathlib.Path(build_dir) / "compile_commands.json"
-    if not compile_db.exists():
-        return None
-    source_root = pathlib.Path(source_dir).resolve()
-    try:
-        db = cindex.CompilationDatabase.fromDirectory(str(compile_db.parent))
-        index = cindex.Index.create()
-        edges = {}
-        for path in repo_sources(source_dir):
-            if path.suffix != ".cpp":
-                continue
-            commands = db.getCompileCommands(str(path.resolve()))
-            if not commands:
-                continue
-            args = [a for a in list(commands[0].arguments)[1:]
-                    if a not in (str(path.resolve()), "-c", "-o")]
-            unit = index.parse(str(path.resolve()), args=args)
-            stack = []
-
-            def walk(cursor):
-                is_fn = cursor.kind in (
-                    cindex.CursorKind.FUNCTION_DECL,
-                    cindex.CursorKind.CXX_METHOD,
-                    cindex.CursorKind.CONSTRUCTOR,
-                    cindex.CursorKind.DESTRUCTOR,
-                    cindex.CursorKind.FUNCTION_TEMPLATE,
-                ) and cursor.is_definition()
-                if is_fn:
-                    stack.append(cursor.spelling)
-                if (cursor.kind == cindex.CursorKind.CALL_EXPR and stack
-                        and cursor.referenced is not None
-                        and cursor.referenced.location.file is not None):
-                    try:
-                        pathlib.Path(cursor.referenced.location.file.name) \
-                            .resolve().relative_to(source_root)
-                        edges.setdefault(stack[-1], set()).add(
-                            cursor.referenced.spelling)
-                    except ValueError:
-                        pass  # callee outside the repo
-                for child in cursor.get_children():
-                    walk(child)
-                if is_fn:
-                    stack.pop()
-
-            walk(unit.cursor)
-        return edges
-    except Exception:  # noqa: BLE001 — degrade to the token scan
-        return None
 
 
 ROOT_FILES = {name: set(files) for name, files, _ in EFFECT_ROOTS}
@@ -734,7 +528,7 @@ def bodies_of(name, fn_index):
     return [b for b in bodies if b[0] in allowed]
 
 
-def reachable_from(roots, fn_index, edges):
+def reachable_from(roots, fn_index):
     """{name: chain} for every function reachable from `roots`, where chain
     is the discovery path 'root -> ... -> name' for diagnostics."""
     reached = {}
@@ -745,12 +539,9 @@ def reachable_from(roots, fn_index, edges):
             queue.append(root)
     while queue:
         name = queue.pop()
-        if edges is not None:
-            callees = edges.get(name, set())
-        else:
-            callees = set()
-            for _rel, body, _line in bodies_of(name, fn_index):
-                callees |= body_callees(body)
+        callees = set()
+        for _rel, body, _line in bodies_of(name, fn_index):
+            callees |= body_callees(body)
         for callee in sorted(callees):
             if (callee in NO_TRAVERSE or callee in NAME_MERGE_CUTS
                     or callee in CONTRACT_BOUNDARIES):
@@ -798,15 +589,14 @@ def scan_body(rel, name, body, body_line, classes, regions, chain,
                 "hotpath_effects.py with a justification")
 
 
-def run(source_dir, build_dir="build"):
-    """All checks; returns the findings list."""
+def run(tree):
+    """All checks over a source_scan.Tree; returns the findings list."""
     findings = []
-    files = {}
-    for path in repo_sources(source_dir):
-        rel = path.relative_to(source_dir).as_posix()
-        files[rel] = load_file(path)
-
-    markers = collect_markers(files)
+    files = {rel: (scan_text(src), src) for rel, src in tree.files.items()}
+    markers = collect_markers(
+        {rel: text for rel, (text, _src) in files.items()
+         if rel != MARKER_EXCLUDE},
+        MARKER_OF.values(), marker_function_name)
     # A scan that resolves no roots at all is a misconfiguration (wrong
     # --source-dir), not a clean tree: fail loudly instead of passing
     # vacuously.  Fixture trees carry their own markers, so they resolve.
@@ -814,7 +604,7 @@ def run(source_dir, build_dir="build"):
                       if any(f in files for f in root_files)]
     if not markers and not tabled_present:
         findings.append(
-            f"no effect roots found under {source_dir}: neither a tabled "
+            f"no effect roots found under {tree.root}: neither a tabled "
             "root file nor an HN_NONALLOCATING/HN_NONBLOCKING marker is in "
             "the scan — wrong --source-dir?")
     elif tabled_present and len(tabled_present) < len(
@@ -825,17 +615,21 @@ def run(source_dir, build_dir="build"):
                     f"effect root `{name}`: none of its declared files "
                     f"({', '.join(sorted(root_files))}) are in the scan — "
                     "update EFFECT_ROOTS to follow the move")
-    check_marker_drift(files, markers, findings)
-    check_doc_catalogue(source_dir, files, findings)
+    table = {(rel, name): MARKER_OF[effect]
+             for name, root_files, effect in EFFECT_ROOTS
+             for rel in root_files}
+    findings += marker_drift(
+        markers, table, files, "the hotpath_effects.py EFFECT_ROOTS table",
+        "hot-path effect root", 12)
+    check_doc_catalogue(tree, findings)
     regions = escape_regions(files, findings)
     fn_index = build_function_index(files)
-    edges = libclang_call_edges(source_dir, build_dir)
 
     # Any marked function is a root for reachability (so fixture trees and
     # not-yet-tabled markers are analyzed too); the table adds the effect
     # class, defaulting to the stronger contract for unknown markers.
     effect_of = {name: effect for name, _files, effect in EFFECT_ROOTS}
-    for _rel, _line, marker, name in markers:
+    for _rel, _line, name, marker in markers:
         if name and name not in effect_of:
             effect_of[name] = (NONALLOC if marker == "HN_NONALLOCATING"
                                else NONBLOCK)
@@ -843,8 +637,8 @@ def run(source_dir, build_dir="build"):
     nonalloc_roots = sorted(n for n, e in effect_of.items())
     nonblock_roots = sorted(n for n, e in effect_of.items()
                             if e == NONBLOCK)
-    alloc_reach = reachable_from(nonalloc_roots, fn_index, edges)
-    block_reach = reachable_from(nonblock_roots, fn_index, edges)
+    alloc_reach = reachable_from(nonalloc_roots, fn_index)
+    block_reach = reachable_from(nonblock_roots, fn_index)
 
     used_allowlist = set()
     for name in sorted(set(alloc_reach) | set(block_reach)):
@@ -873,25 +667,3 @@ def run(source_dir, build_dir="build"):
                 f"hotpath_effects.py ALLOWLIST {key}: stale entry (suppresses "
                 "nothing) — remove it so the allowlist stays tight")
     return findings
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--source-dir",
-                        default=str(pathlib.Path(__file__).resolve().parent
-                                    .parent))
-    parser.add_argument("--build-dir", default="build")
-    args = parser.parse_args()
-    findings = run(args.source_dir, args.build_dir)
-    if not findings:
-        print("OK: hot-path effects clean")
-        return 0
-    print(f"FAIL: {len(findings)} hot-path effect finding(s) vs empty "
-          "baseline:")
-    for finding in findings:
-        print(f"  {finding}")
-    return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

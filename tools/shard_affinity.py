@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Shard-affinity analyzer: whole-program lint for the PR-8 concurrency
 contract (DESIGN.md §10/§11).
 
@@ -35,17 +34,14 @@ those rules over every file in src/:
      delivery path (src/link/link.cpp) may resume affine work there.
      An affine call inside a post closure anywhere else is a finding.
 
-Analysis is token-level by default (always available, deterministic) and
-upgrades rule 4 to AST accuracy via libclang + compile_commands.json when
-both are importable/present; any libclang failure falls back to the token
-scan, so the gate never skips.  Exit 0 clean, 1 findings — empty-baseline
-policy, like every other mode of tools/run_static.py.
+The rules are token-level over the shared scanner (tools/source_scan.py),
+so they always run and read the same text on every toolchain.
+run_static.py's `affinity` mode runs them against an empty baseline.
 """
 
-import argparse
-import pathlib
 import re
-import sys
+
+import source_scan
 
 # ---- the contract tables ---------------------------------------------------
 
@@ -106,268 +102,80 @@ SCHED_INDEX_RE = re.compile(r"(?:\.|->)\s*scheduler\s*\(\s*[^)\s]")
 ENGINE_POST_RE = re.compile(r"\bengine\w*\s*(?:\(\s*\))?\s*(?:\.|->)\s*post\s*\(")
 THREAD_LOCAL_RE = re.compile(r"\bthread_local\b([^;={(]*)")
 MARKER = "HN_SHARD_AFFINE"
+MARKER_HOME = "src/common/thread_annotations.hpp"  # defines the marker
+TYPE_WORDS = {"virtual", "void", "bool", "std", "uint32_t", "const",
+              "inline", "override"}
 
 
-def repo_sources(source_dir):
-    root = pathlib.Path(source_dir) / "src"
-    return sorted(p for p in root.rglob("*") if p.suffix in (".cpp", ".hpp"))
-
-
-def strip_comments(text):
-    """Removes // and /* */ comments, preserving line structure."""
-    text = re.sub(r"/\*.*?\*/",
-                  lambda m: re.sub(r"[^\n]", " ", m.group(0)), text,
-                  flags=re.DOTALL)
-    return re.sub(r"//[^\n]*", "", text)
-
-
-def marker_method_name(lines, index):
-    """The method a HN_SHARD_AFFINE marker applies to: the last identifier
-    before the first '(' at or after the marker (declarations may wrap)."""
-    window = " ".join(lines[index:index + 4])
-    window = window[window.index(MARKER) + len(MARKER):]
-    head = window.split("(", 1)[0]
-    idents = [t for t in IDENT_RE.findall(head)
-              if t not in ("virtual", "void", "bool", "std", "uint32_t",
-                           "const", "inline", "override")]
+def marked_method(code, match):
+    """The method a (leading) HN_SHARD_AFFINE marker applies to: the last
+    identifier before the first '(' after it (declarations may wrap)."""
+    head = code[match.end():match.end() + 300].split("(", 1)[0]
+    idents = [t for t in IDENT_RE.findall(head) if t not in TYPE_WORDS]
     return idents[-1] if idents else None
 
 
-def collect_markers(source_dir):
-    """(rel_path, line, method) for every HN_SHARD_AFFINE in src/, skipping
-    the macro's own definition."""
-    markers = []
-    for path in repo_sources(source_dir):
-        rel = path.relative_to(source_dir).as_posix()
-        if rel == "src/common/thread_annotations.hpp":
-            continue
-        lines = strip_comments(path.read_text()).splitlines()
-        for lineno, line in enumerate(lines, 1):
-            if MARKER not in line or re.match(r"\s*#\s*define\b", line):
-                continue
-            name = marker_method_name(lines, lineno - 1)
-            markers.append((rel, lineno, name))
-    return markers
+def run(tree):
+    """All five checks over a source_scan.Tree; returns the findings."""
+    markers = source_scan.collect_markers(
+        {rel: src.code for rel, src in tree.files.items()
+         if rel != MARKER_HOME},
+        [MARKER], marked_method)
+    table = {(rel, name): MARKER
+             for rel, names in AFFINE_TABLE.items() for name in names}
+    findings = source_scan.marker_drift(
+        markers, table, tree.files, "the shard_affinity.py AFFINE_TABLE",
+        "shard-affine entry point", 11)
 
-
-def check_marker_drift(source_dir, markers, findings):
-    marked = {}
-    for rel, lineno, name in markers:
-        marked.setdefault(rel, {})[name] = lineno
-    for rel, lineno, name in markers:
-        expected = AFFINE_TABLE.get(rel)
-        if expected is None or name not in expected:
-            findings.append(
-                f"{rel}:{lineno}: HN_SHARD_AFFINE on `{name}` is not in the "
-                "shard_affinity.py AFFINE_TABLE — new affine entry points "
-                "must be catalogued there (and in DESIGN.md §11)")
-    for rel, expected in AFFINE_TABLE.items():
-        if not (pathlib.Path(source_dir) / rel).exists():
-            continue  # fixture trees exercise single rules
-        for name in sorted(expected - set(marked.get(rel, {}))):
-            findings.append(
-                f"{rel}: `{name}` is catalogued as shard-affine but carries "
-                "no HN_SHARD_AFFINE marker")
-
-
-def check_engine_access(source_dir, findings):
-    for path in repo_sources(source_dir):
-        rel = path.relative_to(source_dir).as_posix()
-        if rel in ENGINE_ALLOWLIST:
-            continue
-        for lineno, line in enumerate(
-                strip_comments(path.read_text()).splitlines(), 1):
-            if SCHED_INDEX_RE.search(line):
+    affine = {name for _rel, _line, name, _macro in markers if name}
+    affine.update(*AFFINE_TABLE.values())
+    affine_call = re.compile(
+        r"(?:\.|->)\s*(" + "|".join(sorted(affine)) + r")\s*\(")
+    for rel, src in tree.files.items():
+        for lineno, line in enumerate(src.lines, 1):
+            # Rule 2: cross-shard reach-around.
+            if rel not in ENGINE_ALLOWLIST and SCHED_INDEX_RE.search(line):
                 findings.append(
                     f"{rel}:{lineno}: indexes another shard's scheduler "
                     "directly — cross-shard work goes through "
                     "Mailbox posts (ShardEngine::post via Link::transmit)")
-            if ENGINE_POST_RE.search(line):
+            if rel not in ENGINE_ALLOWLIST and ENGINE_POST_RE.search(line):
                 findings.append(
                     f"{rel}:{lineno}: calls ShardEngine::post outside the "
                     "link layer — only Link::transmit may feed the "
                     "cross-shard mailboxes")
-
-
-def check_thread_locals(source_dir, findings):
-    for path in repo_sources(source_dir):
-        rel = path.relative_to(source_dir).as_posix()
-        for lineno, line in enumerate(
-                strip_comments(path.read_text()).splitlines(), 1):
-            match = THREAD_LOCAL_RE.search(line)
-            if not match:
-                continue
-            idents = IDENT_RE.findall(match.group(1))
-            name = idents[-1] if idents else "?"
-            if (rel, name) not in THREAD_LOCAL_ALLOWLIST:
+            # Rule 3: thread_local allowlist.
+            thread_local = THREAD_LOCAL_RE.search(line)
+            if thread_local:
+                idents = IDENT_RE.findall(thread_local.group(1))
+                name = idents[-1] if idents else "?"
+                if (rel, name) not in THREAD_LOCAL_ALLOWLIST:
+                    findings.append(
+                        f"{rel}:{lineno}: thread_local `{name}` is not on "
+                        "the shard_affinity.py allowlist — stray "
+                        "thread-locals are how the sharded engine's races "
+                        "snuck in; add it deliberately or use per-shard "
+                        "state")
+        # Rule 4: affine confinement.
+        if not (rel.startswith(AFFINE_MODULES) or rel in AFFINE_TABLE
+                or rel == MARKER_HOME):
+            for call in affine_call.finditer(src.code):
                 findings.append(
-                    f"{rel}:{lineno}: thread_local `{name}` is not on the "
-                    "shard_affinity.py allowlist — stray thread-locals are "
-                    "how PR 8's races snuck in; add it deliberately or use "
-                    "per-shard state")
-
-
-def call_sites(text, names):
-    """(lineno, name) for every `.name(` / `->name(` token in `text`."""
-    sites = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        for name in names:
-            if re.search(r"(?:\.|->)\s*" + name + r"\s*\(", line):
-                sites.append((lineno, name))
-    return sites
-
-
-def check_affine_confinement(source_dir, markers, findings):
-    marked_names = {name for _, _, name in markers if name}
-    marked_names.update(*AFFINE_TABLE.values())
-    if not marked_names:
-        return
-    for path in repo_sources(source_dir):
-        rel = path.relative_to(source_dir).as_posix()
-        if rel.startswith(AFFINE_MODULES):
-            continue
-        if rel in AFFINE_TABLE or rel == "src/common/thread_annotations.hpp":
-            continue
-        text = strip_comments(path.read_text())
-        for lineno, name in call_sites(text, marked_names):
-            findings.append(
-                f"{rel}:{lineno}: calls shard-affine `{name}` from a "
-                "non-affine module — this code runs on arbitrary threads; "
-                "route through the owning shard's scheduler instead")
-
-
-def post_closure_spans(text):
-    """[(start_line, end_line, body)] of every engine-post argument list."""
-    spans = []
-    for match in ENGINE_POST_RE.finditer(text):
-        depth = 0
-        start = match.end() - 1  # the '('
-        for offset, ch in enumerate(text[start:], 0):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    body = text[start:start + offset + 1]
-                    first = text.count("\n", 0, start) + 1
-                    last = first + body.count("\n")
-                    spans.append((first, last, body))
-                    break
-    return spans
-
-
-def check_post_closures(source_dir, markers, findings):
-    marked_names = {name for _, _, name in markers if name}
-    marked_names.update(*AFFINE_TABLE.values())
-    for path in repo_sources(source_dir):
-        rel = path.relative_to(source_dir).as_posix()
+                    f"{rel}:{src.line_of(call.start())}: calls shard-affine "
+                    f"`{call.group(1)}` from a non-affine module — this code "
+                    "runs on arbitrary threads; route through the owning "
+                    "shard's scheduler instead")
+        # Rule 5: post-closure confinement.
         if rel in POST_CLOSURE_ALLOWLIST:
             continue
-        text = strip_comments(path.read_text())
-        for first, _, body in post_closure_spans(text):
-            for offset, name in call_sites(body, marked_names):
+        for post in ENGINE_POST_RE.finditer(src.code):
+            close = source_scan.match_bracket(src.code, post.end() - 1)
+            if close < 0:
+                continue
+            for call in affine_call.finditer(src.code, post.end(), close):
                 findings.append(
-                    f"{rel}:{first + offset - 1}: shard-affine `{name}` "
-                    "called inside a mailbox-post closure — only the link "
-                    "delivery path may resume affine work on the "
-                    "destination shard")
-
-
-# ---- optional libclang upgrade for rule 4 ---------------------------------
-
-
-def libclang_affine_calls(source_dir, build_dir, marked_names):
-    """AST-accurate call sites of affine methods in non-affine modules, or
-    None when libclang / compile_commands.json is unavailable or fails —
-    the caller then uses the token scan."""
-    try:
-        from clang import cindex  # noqa: PLC0415
-    except ImportError:
-        return None
-    compile_db = pathlib.Path(build_dir) / "compile_commands.json"
-    if not compile_db.exists():
-        return None
-    affine_classes = {"Host", "TcpStack", "GatingHooks", "ReplicatedService"}
-    source_root = pathlib.Path(source_dir).resolve()
-    try:
-        db = cindex.CompilationDatabase.fromDirectory(str(compile_db.parent))
-        index = cindex.Index.create()
-        sites = []
-        for path in repo_sources(source_dir):
-            if path.suffix != ".cpp":
-                continue
-            rel = path.relative_to(source_dir).as_posix()
-            if rel.startswith(AFFINE_MODULES) or rel in AFFINE_TABLE:
-                continue
-            commands = db.getCompileCommands(str(path.resolve()))
-            if not commands:
-                continue
-            args = [a for a in list(commands[0].arguments)[1:]
-                    if a not in (str(path.resolve()), "-c", "-o")]
-            unit = index.parse(str(path.resolve()), args=args)
-            for cursor in unit.cursor.walk_preorder():
-                if cursor.kind != cindex.CursorKind.CALL_EXPR:
-                    continue
-                callee = cursor.referenced
-                if callee is None or callee.spelling not in marked_names:
-                    continue
-                parent = callee.semantic_parent
-                if parent is None or parent.spelling not in affine_classes:
-                    continue
-                location = cursor.location
-                if location.file is None:
-                    continue
-                try:
-                    at = pathlib.Path(location.file.name).resolve()
-                    file_rel = at.relative_to(source_root).as_posix()
-                except ValueError:
-                    continue
-                sites.append((file_rel, location.line, callee.spelling))
-        return sites
-    except Exception:  # noqa: BLE001 — degrade to the token scan
-        return None
-
-
-def run(source_dir, build_dir="build"):
-    """All five checks; returns the findings list."""
-    findings = []
-    markers = collect_markers(source_dir)
-    check_marker_drift(source_dir, markers, findings)
-    check_engine_access(source_dir, findings)
-    check_thread_locals(source_dir, findings)
-
-    marked_names = {name for _, _, name in markers if name}
-    marked_names.update(*AFFINE_TABLE.values())
-    ast_sites = libclang_affine_calls(source_dir, build_dir, marked_names)
-    if ast_sites is not None:
-        for rel, lineno, name in ast_sites:
-            findings.append(
-                f"{rel}:{lineno}: calls shard-affine `{name}` from a "
-                "non-affine module — this code runs on arbitrary threads; "
-                "route through the owning shard's scheduler instead")
-    else:
-        check_affine_confinement(source_dir, markers, findings)
-    check_post_closures(source_dir, markers, findings)
+                    f"{rel}:{src.line_of(call.start())}: shard-affine "
+                    f"`{call.group(1)}` called inside a mailbox-post closure "
+                    "— only the link delivery path may resume affine work "
+                    "on the destination shard")
     return findings
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--source-dir",
-                        default=str(pathlib.Path(__file__).resolve().parent
-                                    .parent))
-    parser.add_argument("--build-dir", default="build")
-    args = parser.parse_args()
-    findings = run(args.source_dir, args.build_dir)
-    if not findings:
-        print("OK: shard-affinity clean")
-        return 0
-    print(f"FAIL: {len(findings)} shard-affinity finding(s) vs empty "
-          "baseline:")
-    for finding in findings:
-        print(f"  {finding}")
-    return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
