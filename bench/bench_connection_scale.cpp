@@ -197,13 +197,17 @@ ScaleResult measure_level(Fixture& bed, std::size_t level) {
           ? static_cast<double>(result.arena_bytes) /
                 static_cast<double>(result.arena_live)
           : 0;
-  const SlabCounters& slab = slab_counters();
+  // Whole fleet: every shard's slab block and pending set (the engine is
+  // quiescent between runs).
+  const SlabCounters slab = slab_totals();
   result.slab_pages = slab.pages;
   result.slab_live = slab.live;
   result.slab_allocated = slab.allocated;
   result.slab_recycled = slab.recycled;
   result.slab_bytes = slab.bytes;
-  result.pending_events = bed.net.scheduler().pending();
+  for (std::size_t s = 0; s < bed.net.shards(); ++s) {
+    result.pending_events += bed.net.engine().scheduler(s).pending();
+  }
 
   // Mixed load: a sample of connections pushes 1 KiB of application data
   // while every established connection keeps its keepalive cadence going

@@ -1,12 +1,13 @@
 // Substrate micro-benchmarks (google-benchmark): wire-format serialisation,
-// checksums, the event scheduler, and the reassembly buffer — the inner
-// loops every simulated packet passes through.
+// checksums, the event scheduler, link rx, and the reassembly buffer — the
+// inner loops every simulated packet passes through.
 #include <benchmark/benchmark.h>
 
 #include "common/bytes.hpp"
 #include "common/packet_buffer.hpp"
 #include "common/rng.hpp"
 #include "host/network.hpp"
+#include "link/link.hpp"
 #include "net/tcp_header.hpp"
 #include "net/tunnel.hpp"
 #include "sim/scheduler.hpp"
@@ -137,6 +138,36 @@ void BM_OneHopUdpPacketPath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OneHopUdpPacketPath)->Arg(64)->Arg(1400);
+
+/// Batched link rx under a deep backlog: `depth` frames queued in one
+/// instant on a batch_frames = 8 link, then drained.  After the first full
+/// batch each flush delivers about one frame, so the cost per delivered
+/// frame (`s/frame`) must stay flat however many frames wait behind it.
+void BM_LinkRxBacklog(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::Scheduler scheduler;
+  link::NetworkInterface a{"a", net::Ipv4Address(10, 0, 0, 1), 24};
+  link::NetworkInterface b{"b", net::Ipv4Address(10, 0, 0, 2), 24};
+  link::Link::Config config;
+  config.bandwidth_bps = 10e9;
+  config.queue_capacity_packets = depth;
+  config.batch_frames = 8;
+  link::Link link(scheduler, config);
+  link.attach(a, b);
+  std::size_t delivered = 0;
+  b.set_rx_burst_handler(
+      [&delivered](PacketBuffer*, std::size_t count) { delivered += count; });
+  const PacketBuffer frame(Bytes(64, 0x5a));
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < depth; ++i) (void)a.send(frame);
+    scheduler.run();
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.counters["s/frame"] = benchmark::Counter(
+      static_cast<double>(delivered),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LinkRxBacklog)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_SchedulerScheduleRun(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

@@ -217,13 +217,15 @@ void Link::deliver(Direction& dir, PacketBuffer frame) {
 
 void Link::enqueue_arrival(Direction& dir, sim::TimePoint arrival,
                            PacketBuffer frame) {
+  assert((dir.rx_pending.empty() || dir.rx_pending.back().first <= arrival) &&
+         "a direction's arrivals never decrease");
   dir.rx_pending.emplace_back(arrival, std::move(frame));
   if (!dir.rx_flush_scheduled) {
     dir.rx_flush_scheduled = true;
     dir.rx_flush_at = arrival;
     dir.rx_flush_timer =
         dir.src->schedule_at(arrival, [this, &dir] { flush_rx(dir); });
-  } else if (dir.rx_pending.size() == config_.batch_frames &&
+  } else if (dir.rx_waiting() == config_.batch_frames &&
              arrival > dir.rx_flush_at) {
     // The batch just filled: coalesce into one event at its newest
     // member's arrival.  Only the fill transition postpones (never later
@@ -240,22 +242,23 @@ void Link::flush_rx(Direction& dir) {
   dir.rx_flush_scheduled = false;
   dir.rx_flush_timer = sim::kInvalidTimer;
   const sim::TimePoint now = dir.src->now();
-  // Everything due by now leaves as one span, in arrival order.  Move the
-  // span out first: handle_rx_burst can synchronously transmit (TCP ACKs)
-  // and grow rx_pending behind it.
-  std::size_t due = 0;
-  while (due < dir.rx_pending.size() && dir.rx_pending[due].first <= now) {
-    due++;
+  // Everything due by now (a prefix: arrivals never decrease) leaves as one
+  // span, in arrival order.  Move the span out first: handle_rx_burst can
+  // synchronously transmit (TCP ACKs) and grow rx_pending behind it.
+  while (dir.rx_waiting() > 0 && dir.rx_pending[dir.rx_head].first <= now) {
+    dir.rx_burst.push_back(std::move(dir.rx_pending[dir.rx_head].second));
+    dir.rx_head++;
   }
-  if (due > 0) {
-    std::vector<PacketBuffer> burst;
-    burst.reserve(due);
-    for (std::size_t i = 0; i < due; ++i) {
-      burst.push_back(std::move(dir.rx_pending[i].second));
-    }
+  if (dir.rx_head * 2 >= dir.rx_pending.size()) {
+    // Reclaim the delivered prefix; it is at least as long as what moves,
+    // so each frame is moved O(1) times on average.
     dir.rx_pending.erase(dir.rx_pending.begin(),
                          dir.rx_pending.begin() +
-                             static_cast<std::ptrdiff_t>(due));
+                             static_cast<std::ptrdiff_t>(dir.rx_head));
+    dir.rx_head = 0;
+  }
+  const std::size_t due = dir.rx_burst.size();
+  if (due > 0) {
     if (is_down()) {
       dir.stats.down_drops_rx += due;
     } else {
@@ -263,12 +266,13 @@ void Link::flush_rx(Direction& dir) {
       BatchCounters& c = batch_counters();
       c.bursts++;
       c.packets += due;
-      dir.destination->handle_rx_burst(burst.data(), burst.size());
+      dir.destination->handle_rx_burst(dir.rx_burst.data(), due);
     }
+    dir.rx_burst.clear();  // keeps capacity for the next flush
   }
-  if (!dir.rx_pending.empty() && !dir.rx_flush_scheduled) {
+  if (dir.rx_waiting() > 0 && !dir.rx_flush_scheduled) {
     dir.rx_flush_scheduled = true;
-    dir.rx_flush_at = dir.rx_pending.front().first;
+    dir.rx_flush_at = dir.rx_pending[dir.rx_head].first;
     dir.rx_flush_timer = dir.src->schedule_at(dir.rx_flush_at,
                                               [this, &dir] { flush_rx(dir); });
   }

@@ -91,7 +91,10 @@ class Link {
                    std::size_t shard_b);
 
   /// Enqueues `frame` for transmission from interface `from` toward the
-  /// other end.  Fails with would_block when the drop-tail queue is full.
+  /// other end.  Fails with no_route when the link is down.  A full
+  /// drop-tail queue drops the frame silently, as hardware does: the call
+  /// still succeeds and only `link.queue_drops` counts it (loss-model
+  /// drops likewise, in `link.loss_drops`).
   Status transmit(const NetworkInterface* from, PacketBuffer frame);
 
   /// Replaces the loss model applied to both directions.
@@ -154,15 +157,25 @@ class Link {
     std::unique_ptr<Rng> rng;
     sim::TimePoint transmitter_free{};
     std::size_t queued = 0;
-    /// Batched rx (config.batch_frames > 1, same-shard only): frames
-    /// awaiting delivery with their arrival instants, plus the one
-    /// pending flush event.
+    /// Batched rx (config.batch_frames > 1, same-shard only): a FIFO of
+    /// frames awaiting delivery with their arrival instants.  Entries
+    /// before rx_head were delivered; the prefix is reclaimed once it is
+    /// half the vector, so a flush costs O(frames delivered), not
+    /// O(backlog).  Arrivals never decrease (a frame starts serialising
+    /// no earlier than the previous one finished, and propagation is
+    /// fixed), so the frames due at a flush are always a prefix.
     std::vector<std::pair<sim::TimePoint, PacketBuffer>> rx_pending;
+    std::size_t rx_head = 0;
+    /// The span handed to handle_rx_burst, reused across flushes.
+    std::vector<PacketBuffer> rx_burst;
+    /// The one pending flush event.
     sim::TimerId rx_flush_timer = sim::kInvalidTimer;
     sim::TimePoint rx_flush_at{};
     bool rx_flush_scheduled = false;
 
     bool crosses_shards() const { return src_shard != dst_shard; }
+    /// Frames queued for batched delivery and not yet delivered.
+    std::size_t rx_waiting() const { return rx_pending.size() - rx_head; }
   };
 
   Direction& direction_from(const NetworkInterface* from);

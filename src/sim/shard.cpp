@@ -206,13 +206,19 @@ std::size_t ShardEngine::run_until(TimePoint t) {
   if (schedulers_.size() == 1) {
     // Single shard: byte-identical to the pre-sharding engine — same
     // scheduler, same thread, no epochs, no mailboxes.
-    return schedulers_[0]->run_until(t);
+    const std::size_t ran = schedulers_[0]->run_until(t);
+    counters_[0].events += ran;
+    return ran;
   }
   return start_job(Job{t, /*drain_mode=*/false, SIZE_MAX});
 }
 
 std::size_t ShardEngine::run(std::size_t max_events) {
-  if (schedulers_.size() == 1) return schedulers_[0]->run(max_events);
+  if (schedulers_.size() == 1) {
+    const std::size_t ran = schedulers_[0]->run(max_events);
+    counters_[0].events += ran;
+    return ran;
+  }
   return start_job(Job{kTimePointMax, /*drain_mode=*/true, max_events});
 }
 

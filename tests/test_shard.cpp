@@ -37,8 +37,9 @@ TEST(ShardEngine, SingleShardBypassMatchesPlainScheduler) {
             engine.run_until(TimePoint{100}));
   EXPECT_EQ(ref_order, eng_order);
   EXPECT_EQ(engine.scheduler(0).now(), TimePoint{100});
-  // No epochs, no mailboxes at shards == 1.
+  // No epochs, no mailboxes at shards == 1, but every executed event counts.
   EXPECT_EQ(engine.counters_total().epochs, 0u);
+  EXPECT_EQ(engine.counters_total().events, 5u);
 }
 
 TEST(ShardEngine, RunUntilAdvancesEveryShardClockExactly) {
