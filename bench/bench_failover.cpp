@@ -14,8 +14,8 @@
 
 #include "bench_util.hpp"
 #include "net/tcp_header.hpp"
-#include "stats/export.hpp"
 #include "stats/timeline.hpp"
+#include "trace2/export.hpp"
 
 namespace {
 
@@ -92,14 +92,16 @@ FailoverResult measure_failover(int threshold) {
     }
     if (transmitter.report().failed) break;
   }
-  stats::FailoverPhases phases =
-      stats::failover_phases(bed.net().metrics().timeline());
-  result.report_ms = phases.report_ms;
+  std::vector<trace2::FailoverBreakdown> breakdowns =
+      trace2::postmortem(nullptr, bed.net().metrics().timeline());
+  if (breakdowns.empty()) return result;
+  const trace2::FailoverBreakdown& phases = breakdowns.front();
+  result.report_ms = phases.report_received_ms;
   result.promote_ms = phases.promote_ms;
   result.resume_ms = phases.resume_ms;
   // The timeline's elimination timestamp is exact; the polled one has
   // 10 ms granularity.  Prefer the exact value when present.
-  if (phases.detection_ms >= 0) result.detection_ms = phases.detection_ms;
+  if (phases.eliminate_ms >= 0) result.detection_ms = phases.eliminate_ms;
   return result;
 }
 

@@ -155,8 +155,7 @@ void BM_LinkRxBacklog(benchmark::State& state) {
   link::Link link(scheduler, config);
   link.attach(a, b);
   std::size_t delivered = 0;
-  b.set_rx_burst_handler(
-      [&delivered](PacketBuffer*, std::size_t count) { delivered += count; });
+  b.set_rx_handler([&delivered](PacketBuffer) { delivered++; });
   const PacketBuffer frame(Bytes(64, 0x5a));
   for (auto _ : state) {
     for (std::size_t i = 0; i < depth; ++i) (void)a.send(frame);

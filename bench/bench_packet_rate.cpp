@@ -219,16 +219,13 @@ ScenarioResult run_tcp_scenario(const std::string& name, int backups,
   tx.write_size = 1024;
   apps::TtcpTransmitter transmitter(bed.client(), tx);
 
-  // Tracing-overhead scenarios: install a recorder for the duration of
-  // the run, exactly as `hydranet-sim --trace --trace-sample=N` would.
-  std::unique_ptr<trace2::Recorder> recorder;
-  std::unique_ptr<trace2::ScopedRecorder> installed;
+  // Tracing-overhead scenarios: turn the network's recorder on for the
+  // run, exactly as `hydranet-sim --trace --trace-sample N` would.
+  const trace2::Recorder* recorder = nullptr;
   if (trace_sample > 0 && trace2::kEnabled) {
     trace2::Recorder::Config trace_config;
     trace_config.sample_every = trace_sample;
-    recorder = std::make_unique<trace2::Recorder>(bed.net().scheduler(),
-                                                  trace_config);
-    installed = std::make_unique<trace2::ScopedRecorder>(*recorder);
+    recorder = &bed.net().enable_tracing(trace_config);
   }
 
   reset_datapath_counters();

@@ -47,12 +47,12 @@ void ReplicatedService::install_port_options() {
   options.hooks = this;
   options.deterministic_iss = true;
   options.suppress_rst = config_.mode == tcp::ReplicaMode::backup;
-  if (config_.passthrough_unknown) {
-    options.on_orphan_segment = [this](const net::Ipv4Header& header,
-                                       const net::TcpSegment& segment) {
-      on_orphan_segment(header, segment);
-    };
-  }
+  // Segments on connections this replica does not know are reported as
+  // pass-through (supports re-commissioned backups; see DESIGN.md).
+  options.on_orphan_segment = [this](const net::Ipv4Header& header,
+                                     const net::TcpSegment& segment) {
+    on_orphan_segment(header, segment);
+  };
   host_.tcp().set_port_options(config_.service.port, options);
 }
 
@@ -243,9 +243,9 @@ void ReplicatedService::track_gate(
     stalls++;
   } else if (!binding && blocked_since) {
     stall_ms.observe((host_.scheduler().now() - *blocked_since).millis());
-    std::uint64_t span = trace2::begin_child(wait_ctx, host_.name());
-    trace2::commit_at(span, wait_ctx, span_name, *blocked_since,
-                      host_.scheduler().now(), conn_tag, 0);
+    std::uint64_t span = trace2::begin_child(host_.ip().trace_ring(), wait_ctx);
+    trace2::commit_at(host_.ip().trace_ring(), span, wait_ctx, span_name,
+                      *blocked_since, host_.scheduler().now(), conn_tag, 0);
     blocked_since.reset();
     wait_ctx = 0;
   }
@@ -403,14 +403,14 @@ void ReplicatedService::report(const tcp::ConnectionKey& key,
   // tags outbound datagrams with the current context), so gate movement
   // on the predecessor links back to the segment that triggered it here.
   std::uint64_t parent = trace2::current_ctx();
-  std::uint64_t span = trace2::begin_child(parent, host_.name());
+  std::uint64_t span = trace2::begin_child(host_.ip().trace_ring(), parent);
   sim::TimePoint span_start = host_.scheduler().now();
   {
     trace2::ScopedCtx ctx(span != 0 ? span : parent);
     (void)channel_.send(*predecessor_, message);
   }
-  trace2::commit(span, parent, trace2::span::kFtcpAckReport, span_start,
-                 snd_nxt, rcv_nxt);
+  trace2::commit(host_.ip().trace_ring(), span, parent,
+                 trace2::span::kFtcpAckReport, span_start, snd_nxt, rcv_nxt);
   if (!passthrough) {
     ConnState& state = state_for(key);
     state.reported = true;

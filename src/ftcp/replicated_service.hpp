@@ -46,9 +46,6 @@ class ReplicatedService final : public tcp::TcpConnectionHooks {
     /// this period (recovers ack-channel losses; bounds reconfiguration
     /// stalls).
     sim::Duration refresh_interval = sim::milliseconds(50);
-    /// Report pass-through for segments on connections this replica does
-    /// not know (supports re-commissioned backups; see DESIGN.md).
-    bool passthrough_unknown = true;
   };
 
   /// Raised when the failure estimator fires on some connection.

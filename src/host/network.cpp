@@ -8,7 +8,6 @@
 #include "common/logging.hpp"
 #include "common/packet_buffer.hpp"
 #include "common/slab.hpp"
-#include "trace2/recorder.hpp"
 #include "verify/invariant.hpp"
 
 namespace hydranet::host {
@@ -76,8 +75,7 @@ void Host::publish_metrics(stats::Registry& registry) const {
 
 Network::Network(std::uint64_t seed, std::size_t shards)
     : engine_(std::make_unique<sim::ShardEngine>(
-          sim::ShardEngine::Config{.shards = shards, .seed = seed})),
-      seed_(seed),
+          sim::ShardEngine::Config{.shards = shards})),
       next_host_seed_(seed * 7919 + 1) {
   // Stamp log lines with virtual time: the shard running on the calling
   // thread if a run phase is active, otherwise the reference clock.
@@ -110,10 +108,25 @@ Host& Network::add_host(const std::string& name, std::size_t shard) {
                                      next_host_seed_);
   next_host_seed_ = next_host_seed_ * 6364136223846793005ull + 1442695040888963407ull;
   host->set_timeline(&metrics_.timeline());
+  if (tracer_ != nullptr) {
+    host->ip().set_trace_ring(
+        &tracer_->add_ring(host->name(), host->scheduler()));
+  }
   Host& ref = *host;
   host_shards_.emplace(&ref, shard);
   hosts_.emplace(name, std::move(host));
+  host_order_.push_back(&ref);
   return ref;
+}
+
+trace2::Recorder& Network::enable_tracing(trace2::Recorder::Config config) {
+  assert(tracer_ == nullptr && "tracing is turned on once per network");
+  tracer_ = std::make_unique<trace2::Recorder>(config);
+  for (Host* host : host_order_) {
+    host->ip().set_trace_ring(
+        &tracer_->add_ring(host->name(), host->scheduler()));
+  }
+  return *tracer_;
 }
 
 Host& Network::host(const std::string& name) {
@@ -245,18 +258,16 @@ void Network::publish_metrics() {
     metrics_.set_counter("verify", verify::metric_name(category),
                          verify::violation_count(category));
   }
-#if HYDRANET_TRACING
-  // Flight-recorder health, published only while a recorder is installed
-  // (the tracer itself is opt-in; metric names still lint against §8).
-  if (const trace2::Recorder* recorder = trace2::recorder()) {
+  // Flight-recorder health, published only while tracing is on (the
+  // tracer itself is opt-in; metric names still lint against §8).
+  if (tracer_ != nullptr) {
     metrics_.set_counter("trace", "trace.spans_recorded",
-                         recorder->spans_recorded());
+                         tracer_->spans_recorded());
     metrics_.set_counter("trace", "trace.spans_dropped",
-                         recorder->spans_dropped());
+                         tracer_->spans_dropped());
     metrics_.set_counter("trace", "trace.roots_sampled",
-                         recorder->roots_sampled());
+                         tracer_->roots_sampled());
   }
-#endif
   for (const auto& link : links_) {
     const link::Link::Stats s = link->stats();
     const std::string& node = link->label();

@@ -24,6 +24,7 @@
 #include "sim/scheduler.hpp"
 #include "sim/shard.hpp"
 #include "stats/metrics.hpp"
+#include "trace2/recorder.hpp"
 
 namespace hydranet::host {
 
@@ -44,7 +45,8 @@ class Network {
 
   /// Creates a host; names must be unique.  The two-argument form pins the
   /// host to a shard; the default assigns shards round-robin in creation
-  /// order (harmless at shards == 1 where everything is shard 0).
+  /// order (harmless at shards == 1 where everything is shard 0).  With
+  /// tracing on, the host gets its span ring here.
   Host& add_host(const std::string& name);
   Host& add_host(const std::string& name, std::size_t shard);
   Host& host(const std::string& name);
@@ -102,15 +104,24 @@ class Network {
   /// per-thread blocks summed on read.
   void publish_metrics();
 
+  /// Turns the causal span tracer on (README "Tracing"): creates this
+  /// network's recorder and gives every host its own span ring — the
+  /// existing hosts now, in creation order, later ones as they are
+  /// added.  Call once, while the engine is idle.  With
+  /// HYDRANET_TRACING=OFF the rings stay empty.
+  trace2::Recorder& enable_tracing(trace2::Recorder::Config config = {});
+
  private:
   std::unique_ptr<sim::ShardEngine> engine_;
-  std::uint64_t seed_;
   std::uint64_t next_host_seed_;
   std::size_t next_shard_ = 0;  ///< round-robin cursor for add_host
   // Declared before hosts_/links_: hosts hold a pointer to the timeline
-  // inside metrics_ and may record events while being torn down.
+  // inside metrics_, and to their span ring inside tracer_, and may
+  // record events or spans while being torn down.
   stats::Registry metrics_;
+  std::unique_ptr<trace2::Recorder> tracer_;
   std::unordered_map<std::string, std::unique_ptr<Host>> hosts_;
+  std::vector<Host*> host_order_;  ///< creation order (span ring order)
   std::unordered_map<const Host*, std::size_t> host_shards_;
   std::vector<std::unique_ptr<link::Link>> links_;
 };

@@ -36,14 +36,6 @@ link::NetworkInterface& IpStack::add_interface(const std::string& name,
   link::NetworkInterface* raw = iface.get();
   raw->set_rx_handler(
       [this, raw](PacketBuffer frame) { on_frame(raw, std::move(frame)); });
-  // Span entry for batching links: one dispatch into the IP layer per
-  // burst instead of one std::function hop per frame.
-  raw->set_rx_burst_handler(
-      [this, raw](PacketBuffer* frames, std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i) {
-          on_frame(raw, std::move(frames[i]));
-        }
-      });
   interfaces_.push_back(InterfaceEntry{std::move(iface), mtu});
   return *raw;
 }

@@ -28,6 +28,10 @@
 #include "net/ipv4.hpp"
 #include "sim/scheduler.hpp"
 
+namespace hydranet::trace2 {
+class HostRing;
+}
+
 namespace hydranet::ip {
 
 class IpStack {
@@ -70,6 +74,12 @@ class IpStack {
 
   const std::string& node_name() const { return node_name_; }
   sim::Scheduler& scheduler() { return scheduler_; }
+
+  /// This host's span ring: null while tracing is off (see
+  /// host::Network::enable_tracing).  TCP, the redirector and ft-TCP
+  /// emit their spans through it.
+  trace2::HostRing* trace_ring() const { return trace_ring_; }
+  void set_trace_ring(trace2::HostRing* ring) { trace_ring_ = ring; }
 
   /// Creates an interface owned by this stack.  `mtu` bounds the size of
   /// serialised datagrams emitted on it; larger ones are fragmented.
@@ -180,6 +190,7 @@ class IpStack {
 
   sim::Scheduler& scheduler_;
   std::string node_name_;
+  trace2::HostRing* trace_ring_ = nullptr;
   std::vector<InterfaceEntry> interfaces_;
   std::vector<Route> routes_;
   std::unordered_map<std::uint8_t, ProtocolHandler> protocols_;

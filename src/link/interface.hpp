@@ -20,10 +20,6 @@ class Link;
 class NetworkInterface {
  public:
   using RxHandler = std::function<void(PacketBuffer frame)>;
-  /// Burst variant: a batching link delivers every frame that became due
-  /// in one scheduler event as a single span (arrival order preserved).
-  using RxBurstHandler =
-      std::function<void(PacketBuffer* frames, std::size_t count)>;
 
   NetworkInterface(std::string name, net::Ipv4Address address, int prefix_len);
 
@@ -34,13 +30,9 @@ class NetworkInterface {
   /// True if `dst` lies in this interface's subnet (directly reachable).
   bool on_subnet(net::Ipv4Address dst) const;
 
-  /// Installed by the node's IP layer; called when a frame arrives.
+  /// Installed by the node's IP layer; called once per arriving frame,
+  /// bursts included.
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
-  /// Optional span entry point: when installed, bursts reach the IP layer
-  /// through ONE call instead of one rx_handler invocation per frame.
-  void set_rx_burst_handler(RxBurstHandler handler) {
-    rx_burst_handler_ = std::move(handler);
-  }
 
   /// Attach/detach the link (done by Link::attach).
   void set_link(Link* link) { link_ = link; }
@@ -58,7 +50,8 @@ class NetworkInterface {
   void handle_rx(PacketBuffer frame);
   void handle_rx(Bytes frame) { handle_rx(PacketBuffer(std::move(frame))); }
   /// Burst arrival (batching links): all `count` frames became due in the
-  /// same scheduler event.  Consumes the frames.
+  /// same scheduler event; each reaches the rx handler in arrival order.
+  /// Consumes the frames.
   void handle_rx_burst(PacketBuffer* frames, std::size_t count);
 
   // Counters for tests and benches.
@@ -74,7 +67,6 @@ class NetworkInterface {
   bool up_ = true;
   Link* link_ = nullptr;
   RxHandler rx_handler_;
-  RxBurstHandler rx_burst_handler_;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t tx_bytes_ = 0;

@@ -54,13 +54,8 @@ void NetworkInterface::handle_rx_burst(PacketBuffer* frames,
   if (!up_) return;
   rx_packets_ += count;
   for (std::size_t i = 0; i < count; ++i) rx_bytes_ += frames[i].size();
-  if (rx_burst_handler_) {
-    rx_burst_handler_(frames, count);  // one call for the whole span
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (rx_handler_) rx_handler_(std::move(frames[i]));
-  }
+  if (!rx_handler_) return;
+  for (std::size_t i = 0; i < count; ++i) rx_handler_(std::move(frames[i]));
 }
 
 Link::Link(sim::Scheduler& scheduler, Config config)

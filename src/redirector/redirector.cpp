@@ -200,7 +200,7 @@ void Redirector::tunnel_to(const net::Datagram& datagram,
   // tunnelled copy gets its own child so the per-replica paths stay
   // distinguishable downstream.
   std::uint64_t fanout =
-      trace2::begin_child(datagram.trace_ctx, router_.ip().node_name());
+      trace2::begin_child(router_.ip().trace_ring(), datagram.trace_ctx);
   sim::TimePoint fanout_start = router_.ip().scheduler().now();
   // Serialise the inner datagram exactly once; every tunnelled copy shares
   // that buffer and differs only in its own 20-byte outer header.
@@ -208,8 +208,7 @@ void Redirector::tunnel_to(const net::Datagram& datagram,
   stats_.inner_serializations++;
   std::uint32_t copies = 0;
   auto send_copy = [&](net::Ipv4Address host_server) {
-    std::uint64_t copy =
-        trace2::begin_child(fanout, router_.ip().node_name());
+    std::uint64_t copy = trace2::begin_child(router_.ip().trace_ring(), fanout);
     sim::TimePoint copy_start = router_.ip().scheduler().now();
     net::Datagram outer =
         net::encapsulate_ipip(inner_wire, tunnel_src, host_server);
@@ -218,7 +217,8 @@ void Redirector::tunnel_to(const net::Datagram& datagram,
     copies++;
     stats_.tunnelled_bytes += outer.size();
     (void)router_.ip().send(std::move(outer));
-    trace2::commit(copy, fanout, trace2::span::kRedirectorCopy, copy_start,
+    trace2::commit(router_.ip().trace_ring(), copy, fanout,
+                   trace2::span::kRedirectorCopy, copy_start,
                    host_server.value(),
                    static_cast<std::uint32_t>(inner_wire.size()));
   };
@@ -227,8 +227,8 @@ void Redirector::tunnel_to(const net::Datagram& datagram,
   if (entry.mode == ServiceMode::fault_tolerant) {
     for (net::Ipv4Address backup : entry.backups) send_copy(backup);
   }
-  trace2::commit(fanout, datagram.trace_ctx, trace2::span::kRedirectorFanout,
-                 fanout_start, copies,
+  trace2::commit(router_.ip().trace_ring(), fanout, datagram.trace_ctx,
+                 trace2::span::kRedirectorFanout, fanout_start, copies,
                  static_cast<std::uint32_t>(inner_wire.size()));
 }
 

@@ -7,44 +7,30 @@ namespace hydranet::sim {
 
 namespace {
 
-/// Expands (global seed, shard id) into an independent RNG stream seed.
-std::uint64_t shard_stream_seed(std::uint64_t seed, std::size_t shard) {
-  SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ull * (shard + 1)));
-  return sm.next();
-}
-
 /// lbts + W without signed overflow near the sentinel.
 TimePoint saturating_add(TimePoint t, Duration d) {
   if (t.ns > INT64_MAX - d.ns) return kTimePointMax;
   return t + d;
 }
 
-struct TlsShard {
-  ShardEngine* engine = nullptr;
-  std::size_t shard = 0;
-  Scheduler* scheduler = nullptr;
-};
-thread_local TlsShard t_shard;
+/// The scheduler of the shard running on this thread (null outside a run).
+thread_local Scheduler* t_shard = nullptr;
 
 }  // namespace
 
-Scheduler* ShardEngine::current_scheduler() { return t_shard.scheduler; }
-std::size_t ShardEngine::current_shard() { return t_shard.shard; }
+Scheduler* ShardEngine::current_scheduler() { return t_shard; }
 
-ShardEngine::ShardEngine(Config config) : config_(config) {
-  if (config_.shards == 0) config_.shards = 1;
-  const std::size_t n = config_.shards;
+ShardEngine::ShardEngine(Config config) {
+  const std::size_t n = config.shards == 0 ? 1 : config.shards;
   schedulers_.reserve(n);
-  rngs_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     schedulers_.push_back(std::make_unique<Scheduler>());
-    rngs_.emplace_back(shard_stream_seed(config_.seed, i));
   }
   counters_.resize(n);
   next_due_.resize(n);
   executed_.resize(n);
   mailboxes_.resize(n * n);
-  for (Mailbox& mb : mailboxes_) mb.ring.reserve(config_.mailbox_ring_capacity);
+  for (Mailbox& mb : mailboxes_) mb.reserve(kMailboxCapacity);
   // Shard 0 runs on the caller's thread; 1..n-1 get dedicated workers.
   for (std::size_t i = 1; i < n; ++i) {
     workers_.emplace_back([this, i] { worker_main(i); });
@@ -76,20 +62,13 @@ void ShardEngine::post(std::size_t from, std::size_t to, TimePoint at,
   }
   counters_[from].mailbox_posted++;
   Mailbox& mb = mailbox(from, to);
-  if (mb.ring.size() < config_.mailbox_ring_capacity) {
-    HN_EFFECT_ESCAPE(
-        "ring push within reserved capacity (mailbox_ring_capacity is "
-        "reserved at construction): never reallocates")
-    mb.ring.push_back({at, std::move(cb)});
-    HN_EFFECT_ESCAPE_END()
-  } else {
-    counters_[from].mailbox_overflows++;
-    HN_EFFECT_ESCAPE(
-        "counted overflow spill (shard.mailbox.overflows): correct but "
-        "slower — the bounded ring is the warm path")
-    mb.overflow.push_back({at, std::move(cb)});
-    HN_EFFECT_ESCAPE_END()
-  }
+  if (mb.size() >= kMailboxCapacity) counters_[from].mailbox_overflows++;
+  HN_EFFECT_ESCAPE(
+      "push within the capacity reserved at construction never "
+      "reallocates; a post past it (counted in shard.mailbox.overflows) "
+      "grows the vector, which keeps the capacity for later epochs")
+  mb.push_back({at, std::move(cb)});
+  HN_EFFECT_ESCAPE_END()
 }
 
 std::size_t ShardEngine::drain_inboxes(std::size_t shard) HN_NONBLOCKING {
@@ -100,17 +79,15 @@ std::size_t ShardEngine::drain_inboxes(std::size_t shard) HN_NONBLOCKING {
   for (std::size_t src = 0; src < schedulers_.size(); ++src) {
     if (src == shard) continue;
     Mailbox& mb = mailbox(src, shard);
-    for (auto* batch : {&mb.ring, &mb.overflow}) {
-      for (Mailbox::Message& msg : *batch) {
-        // Conservative-sync safety: a message may never land in the
-        // receiver's past.  (Lookahead guarantees at >= epoch_end; the
-        // receiver's clock is exactly the last epoch_end.)
-        assert(msg.at >= sched.now());
-        sched.schedule_at(msg.at, std::move(msg.cb));
-        ++drained;
-      }
-      batch->clear();  // keeps ring capacity
+    for (Message& msg : mb) {
+      // Conservative-sync safety: a message may never land in the
+      // receiver's past.  (Lookahead guarantees at >= epoch_end; the
+      // receiver's clock is exactly the last epoch_end.)
+      assert(msg.at >= sched.now());
+      sched.schedule_at(msg.at, std::move(msg.cb));
+      ++drained;
     }
+    mb.clear();  // keeps capacity
   }
   counters_[shard].mailbox_drained += drained;
   return drained;
@@ -118,7 +95,7 @@ std::size_t ShardEngine::drain_inboxes(std::size_t shard) HN_NONBLOCKING {
 
 void ShardEngine::participate(std::size_t shard, Job job) {
   Scheduler& sched = *schedulers_[shard];
-  t_shard = TlsShard{this, shard, &sched};
+  t_shard = &sched;
   while (true) {
     // Drain phase: producers are quiescent (they sit between the post-run
     // barrier of the previous round and this round's reduce barrier).
@@ -160,7 +137,7 @@ void ShardEngine::participate(std::size_t shard, Job job) {
     // (and visible) before any shard drains again.
     barrier();
   }
-  t_shard = TlsShard{};
+  t_shard = nullptr;
 }
 
 void ShardEngine::worker_main(std::size_t shard) {

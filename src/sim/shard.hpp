@@ -27,7 +27,7 @@
 // During the run phase only the producing shard touches a (src, dst)
 // mailbox; during the drain phase only the consuming shard does.  The
 // barriers between the phases (a mutex + condition variable) establish
-// the happens-before edges, which keeps the rings TSan-clean without a
+// the happens-before edges, which keeps the mailboxes TSan-clean without a
 // single atomic on the message path.
 //
 // --shards=1 bypasses all of this: run_until/run delegate straight to
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/effect_annotations.hpp"
-#include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -53,11 +52,12 @@ class ShardEngine {
  public:
   struct Config {
     std::size_t shards = 1;
-    std::uint64_t seed = 42;  ///< global seed; per-shard RNGs derive from it
-    /// Bounded mailbox ring: posts beyond this spill into an overflow
-    /// vector (correct, counted in `shard.mailbox.overflows`, slower).
-    std::size_t mailbox_ring_capacity = 1024;
   };
+
+  /// Messages each (source, destination) mailbox holds without growing.
+  /// Posts past it are still delivered; each one is counted in
+  /// `shard.mailbox.overflows`.
+  static constexpr std::size_t kMailboxCapacity = 1024;
 
   /// Per-shard engine telemetry (`shard.*`, DESIGN.md §8); aggregated
   /// across shards by Network::publish_metrics.
@@ -66,7 +66,7 @@ class ShardEngine {
     std::uint64_t epochs = 0;             ///< epoch rounds participated in
     std::uint64_t mailbox_posted = 0;     ///< messages posted to other shards
     std::uint64_t mailbox_drained = 0;    ///< messages drained from inboxes
-    std::uint64_t mailbox_overflows = 0;  ///< posts past the bounded ring
+    std::uint64_t mailbox_overflows = 0;  ///< posts past kMailboxCapacity
   };
 
   explicit ShardEngine(Config config);
@@ -77,11 +77,6 @@ class ShardEngine {
 
   std::size_t shards() const { return schedulers_.size(); }
   Scheduler& scheduler(std::size_t shard) { return *schedulers_[shard]; }
-
-  /// Deterministic per-shard RNG, seeded from (global seed, shard id):
-  /// multi-shard runs are reproducible run-to-run regardless of thread
-  /// interleaving.  Only the owning shard's thread may draw during a run.
-  Rng& rng(std::size_t shard) { return rngs_[shard]; }
 
   /// Conservative lookahead: the minimum cross-shard link propagation
   /// delay.  The topology builder min-reduces this as it connects hosts;
@@ -95,7 +90,7 @@ class ShardEngine {
   /// (or from the main thread while the engine is idle, in which case the
   /// message is delivered at the next drain).
   /// Hot-path effect root (DESIGN.md §12): during a run phase this is a
-  /// plain-vector push into a pre-reserved ring — no locks, no atomics
+  /// plain-vector push into a pre-reserved mailbox — no locks, no atomics
   /// (the phase barriers carry the memory ordering).
   void post(std::size_t from, std::size_t to, TimePoint at,
             Scheduler::Callback cb) HN_NONBLOCKING;
@@ -116,21 +111,18 @@ class ShardEngine {
   }
   Counters counters_total() const;
 
-  /// The shard whose run loop is executing on the calling thread, or its
-  /// scheduler; null/0 outside a run phase.  Used by cross-shard links to
-  /// find the sending shard and by the logger to stamp virtual time.
+  /// The scheduler of the shard whose run loop is executing on the
+  /// calling thread; null outside a run phase.  Used by the logger to
+  /// stamp virtual time.
   static Scheduler* current_scheduler();
-  static std::size_t current_shard();
 
  private:
-  struct Mailbox {
-    struct Message {
-      TimePoint at;
-      Scheduler::Callback cb;
-    };
-    std::vector<Message> ring;      ///< bounded (mailbox_ring_capacity)
-    std::vector<Message> overflow;  ///< spill, drained after the ring
+  struct Message {
+    TimePoint at;
+    Scheduler::Callback cb;
   };
+  /// One (source, destination) mailbox, reserved to kMailboxCapacity.
+  using Mailbox = std::vector<Message>;
 
   Mailbox& mailbox(std::size_t from, std::size_t to) {
     return mailboxes_[from * schedulers_.size() + to];
@@ -190,9 +182,7 @@ class ShardEngine {
   std::size_t drain_inboxes(std::size_t shard) HN_NONBLOCKING;
   void worker_main(std::size_t shard);
 
-  Config config_;
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  std::vector<Rng> rngs_;
   std::vector<Counters> counters_;
   /// shards x shards mailboxes, row-major by source; the (s, s) diagonal
   /// stays empty.  Plain vectors — see the memory-ordering note above.

@@ -8,8 +8,6 @@
 
 namespace hydranet::stats {
 
-namespace {
-
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
   for (char c : s) {
@@ -30,6 +28,8 @@ void append_escaped(std::string& out, const std::string& s) {
   }
   out += '"';
 }
+
+namespace {
 
 std::string format_double(double v) {
   // Shortest representation that round-trips (CSV import must reproduce
@@ -301,22 +301,6 @@ Status write_file(const std::string& path, const std::string& text) {
   std::fclose(f);
   return written == text.size() ? Status::success()
                                 : Status(Errc::message_too_big);
-}
-
-FailoverPhases failover_phases(const EventTimeline& timeline) {
-  FailoverPhases phases;
-  auto crash = timeline.first(event::kCrashInjected);
-  if (!crash) return phases;
-  phases.crash_s = crash->at.seconds();
-  auto after = [&](const char* kind) -> double {
-    auto e = timeline.first_after(kind, crash->at);
-    return e ? (e->at - crash->at).millis() : -1;
-  };
-  phases.report_ms = after(event::kFailureReportReceived);
-  phases.detection_ms = after(event::kReplicaEliminated);
-  phases.promote_ms = after(event::kPromoted);
-  phases.resume_ms = after(event::kStreamResumed);
-  return phases;
 }
 
 }  // namespace hydranet::stats

@@ -28,18 +28,8 @@ Result<Registry> from_csv(const std::string& csv);
 /// Writes `text` to `path` ("-" writes to stdout).
 Status write_file(const std::string& path, const std::string& text);
 
-/// The failover phase boundaries recovered from a timeline (all relative
-/// to the crash_injected event; negative when the phase never happened).
-struct FailoverPhases {
-  double crash_s = -1;      ///< absolute virtual time of the crash
-  double report_ms = -1;    ///< crash -> first FAILURE-REPORT at the redirector
-  double detection_ms = -1; ///< crash -> replica eliminated
-  double promote_ms = -1;   ///< crash -> backup promoted
-  double resume_ms = -1;    ///< crash -> client stream resumed
-};
-
-/// Extracts the crash -> detection -> promotion -> resume phase durations
-/// from a run's event timeline.
-FailoverPhases failover_phases(const EventTimeline& timeline);
+/// Appends `s` to `out` as a quoted JSON string.  The one escaper behind
+/// every JSON exporter (this one and src/trace2's).
+void append_escaped(std::string& out, const std::string& s);
 
 }  // namespace hydranet::stats

@@ -157,8 +157,7 @@ Result<std::size_t> TcpConnection::send(BytesView data) {
   // parent to the *current* write's decision — a sampled-out write must
   // clear the context, or one sampled root would adopt every later
   // segment and sampling would thin nothing.
-  std::uint64_t root =
-      trace2::begin_root(stack_.ip().node_name());
+  std::uint64_t root = trace2::begin_root(stack_.ip().trace_ring());
   sim::TimePoint write_start = scheduler_.now();
   trace_root_ctx_ = root;
   send_data_.append(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
@@ -167,7 +166,8 @@ Result<std::size_t> TcpConnection::send(BytesView data) {
   }
   stats_.bytes_sent_app += n;
   schedule_output();
-  trace2::commit(root, 0, trace2::span::kAppWrite, write_start,
+  trace2::commit(stack_.ip().trace_ring(), root, 0, trace2::span::kAppWrite,
+                 write_start,
                  static_cast<std::uint32_t>(key_.remote.port),
                  static_cast<std::uint32_t>(n));
   return n;
@@ -1083,8 +1083,7 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
   // defeating sampling entirely.)
   std::uint64_t parent =
       payload.empty() ? trace2::current_ctx() : trace_root_ctx_;
-  std::uint64_t span =
-      trace2::begin_child(parent, stack_.ip().node_name());
+  std::uint64_t span = trace2::begin_child(stack_.ip().trace_ring(), parent);
   sim::TimePoint span_start = scheduler_.now();
 
   net::Datagram datagram;
@@ -1095,8 +1094,9 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
       net::serialize_tcp(segment, key_.local.address, key_.remote.address);
   datagram.trace_ctx = span;
   (void)stack_.ip().send(std::move(datagram));
-  trace2::commit(span, parent, trace2::span::kTcpSegmentize, span_start,
-                 h.seq, static_cast<std::uint32_t>(payload.size()));
+  trace2::commit(stack_.ip().trace_ring(), span, parent,
+                 trace2::span::kTcpSegmentize, span_start, h.seq,
+                 static_cast<std::uint32_t>(payload.size()));
 }
 
 void TcpConnection::send_pure_ack() {

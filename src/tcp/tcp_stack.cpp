@@ -288,13 +288,14 @@ void TcpStack::on_segment_datagram(const net::Ipv4Header& header,
     // ambient context by the IP demux; everything the connection does in
     // response — ACKs, gate reports, app callbacks — nests under it.
     std::uint64_t parent = trace2::current_ctx();
-    std::uint64_t span = trace2::begin_child(parent, ip_.node_name());
+    std::uint64_t span = trace2::begin_child(ip_.trace_ring(), parent);
     sim::TimePoint span_start = scheduler().now();
     {
       trace2::ScopedCtx ctx(span);
       connection->on_segment(segment);  // local shared_ptr keeps it alive
     }
-    trace2::commit(span, parent, trace2::span::kTcpInput, span_start,
+    trace2::commit(ip_.trace_ring(), span, parent, trace2::span::kTcpInput,
+                   span_start,
                    segment.header.seq,
                    static_cast<std::uint32_t>(segment.payload.size()));
     return;

@@ -5,31 +5,12 @@
 #include <map>
 #include <unordered_map>
 
+#include "stats/export.hpp"
 #include "trace2/span.hpp"
 
 namespace hydranet::trace2 {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string format_us(sim::TimePoint t) {
   // Chrome trace timestamps are microseconds; keep ns resolution as the
@@ -71,7 +52,8 @@ std::string to_chrome_json(const Recorder& recorder) {
     sep();
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(node) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    append_escaped(out, recorder.node_name(static_cast<std::uint16_t>(node)));
+    stats::append_escaped(
+        out, recorder.node_name(static_cast<std::uint16_t>(node)));
     out += "}}";
   }
 
@@ -121,7 +103,7 @@ std::string to_spans_jsonl(const Recorder& recorder) {
     out += "{\"id\":" + std::to_string(r.id) +
            ",\"parent\":" + std::to_string(r.parent) + ",\"name\":\"" +
            r.name + "\",\"node\":";
-    append_escaped(out, recorder.node_name(r.node));
+    stats::append_escaped(out, recorder.node_name(r.node));
     out += ",\"start_ns\":" + std::to_string(r.start.ns) +
            ",\"end_ns\":" + std::to_string(r.end.ns) +
            ",\"a\":" + std::to_string(r.a) + ",\"b\":" + std::to_string(r.b) +
@@ -134,14 +116,14 @@ std::vector<FailoverBreakdown> postmortem(
     const Recorder* recorder, const stats::EventTimeline& timeline) {
   std::vector<FailoverBreakdown> out;
   std::vector<SpanRecord> records;
-  std::vector<std::string> record_nodes;
-  if (recorder != nullptr) {
-    records = recorder->snapshot();
-    record_nodes.reserve(records.size());
-    for (const SpanRecord& r : records) {
-      record_nodes.push_back(recorder->node_name(r.node));
-    }
-  }
+  if (recorder != nullptr) records = recorder->snapshot();
+
+  // A phase is the earliest matching event (ties to the node name that
+  // sorts first), not the first one recorded: shards record events of the
+  // same epoch in thread order, so emission order is not time order.
+  auto earlier = [](const stats::Event& x, const stats::Event& y) {
+    return x.at < y.at || (x.at == y.at && x.node < y.node);
+  };
 
   for (const stats::Event& crash : timeline.events()) {
     if (crash.kind != stats::event::kCrashInjected) continue;
@@ -155,38 +137,35 @@ std::vector<FailoverBreakdown> postmortem(
     // detail leads with the service endpoint (failure_signal details lead
     // with the connection key, whose local side IS the service endpoint),
     // which is what keeps two concurrent failovers correctly attributed.
-    auto matches = [&](const stats::Event& e, const char* kind) {
-      return e.kind == kind && e.at >= crash.at &&
-             (b.service.empty() ||
-              e.detail.compare(0, b.service.size(), b.service) == 0);
-    };
-    auto phase = [&](const char* kind,
-                     const stats::Event** found =
-                         nullptr) -> double {
+    auto first = [&](const char* kind,
+                     bool tagged = true) -> const stats::Event* {
+      const stats::Event* found = nullptr;
       for (const stats::Event& e : timeline.events()) {
-        if (matches(e, kind)) {
-          if (found != nullptr) *found = &e;
-          return (e.at - crash.at).millis();
+        if (e.kind != kind || e.at < crash.at) continue;
+        if (tagged && !b.service.empty() &&
+            e.detail.compare(0, b.service.size(), b.service) != 0) {
+          continue;
         }
+        if (found == nullptr || earlier(e, *found)) found = &e;
       }
-      return -1;
+      return found;
+    };
+    auto phase = [&](const stats::Event* e) {
+      return e == nullptr ? -1.0 : (e->at - crash.at).millis();
     };
 
-    b.detect_ms = phase(stats::event::kFailureSignal);
-    if (b.detect_ms < 0) b.detect_ms = phase(stats::event::kFailureReportSent);
-    b.report_received_ms = phase(stats::event::kFailureReportReceived);
-    b.eliminate_ms = phase(stats::event::kReplicaEliminated);
-    const stats::Event* promoted = nullptr;
-    b.promote_ms = phase(stats::event::kPromoted, &promoted);
+    b.detect_ms = phase(first(stats::event::kFailureSignal));
+    if (b.detect_ms < 0) {
+      b.detect_ms = phase(first(stats::event::kFailureReportSent));
+    }
+    b.report_received_ms = phase(first(stats::event::kFailureReportReceived));
+    b.eliminate_ms = phase(first(stats::event::kReplicaEliminated));
+    const stats::Event* promoted = first(stats::event::kPromoted);
+    b.promote_ms = phase(promoted);
     if (promoted != nullptr) b.promoted_node = promoted->node;
     // stream_resumed is recorded by the measurement driver on the client
     // and carries no service tag; attribute the first one after the crash.
-    for (const stats::Event& e : timeline.events()) {
-      if (e.kind == stats::event::kStreamResumed && e.at >= crash.at) {
-        b.resume_ms = (e.at - crash.at).millis();
-        break;
-      }
-    }
+    b.resume_ms = phase(first(stats::event::kStreamResumed, false));
 
     // Span-derived phases: the failed replica's last sign of life before
     // the crash, and the first segment the promoted node put on the wire
@@ -195,9 +174,9 @@ std::vector<FailoverBreakdown> postmortem(
     // tail→head), so for a crashed primary fall back to its last traced
     // span of any kind.
     double last_any_age = -1;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const SpanRecord& r = records[i];
-      if (record_nodes[i] == b.failed_node && r.end <= crash.at) {
+    for (const SpanRecord& r : records) {
+      const std::string& node = recorder->node_name(r.node);
+      if (node == b.failed_node && r.end <= crash.at) {
         double age = (crash.at - r.end).millis();
         if (last_any_age < 0 || age < last_any_age) last_any_age = age;
         if (r.name == std::string(span::kFtcpAckReport) &&
@@ -207,7 +186,7 @@ std::vector<FailoverBreakdown> postmortem(
       }
       if (promoted != nullptr &&
           r.name == std::string(span::kTcpSegmentize) &&
-          record_nodes[i] == b.promoted_node && r.start >= promoted->at) {
+          node == b.promoted_node && r.start >= promoted->at) {
         double ms = (r.start - crash.at).millis();
         if (b.first_segment_ms < 0 || ms < b.first_segment_ms) {
           b.first_segment_ms = ms;

@@ -1,19 +1,12 @@
 #include "trace2/recorder.hpp"
 
-#include "common/thread_annotations.hpp"
+#include <cassert>
+
 #include "sim/scheduler.hpp"
 
 namespace hydranet::trace2 {
 
 namespace {
-
-/// Serialises install/uninstall (ScopedRecorder construction in tests,
-/// benches, the CLI).  Reads on the span hot path stay deliberately
-/// lock-free: installation happens at quiescent points only (no shard
-/// executing), so the engine's job-dispatch handshake provides the
-/// happens-before edge to every reader (DESIGN.md §11).
-Mutex g_install_mu;
-Recorder* g_recorder HN_GUARDED_BY(g_install_mu) = nullptr;
 
 #if HYDRANET_TRACING
 // The ambient context is an implicit argument of the *current execution
@@ -23,28 +16,13 @@ Recorder* g_recorder HN_GUARDED_BY(g_install_mu) = nullptr;
 thread_local std::uint64_t g_ambient_ctx = 0;
 #endif
 
-// Span ids encode (node, per-node sequence): the interned node index (+1,
-// so id 0 stays "no span") in the top 16 bits, the node's monotonically
+// Span ids encode (host, per-host sequence): the host's ring index (+1,
+// so id 0 stays "no span") in the top 16 bits, the host's monotonically
 // increasing sequence below.  Both inputs are deterministic in a
 // deterministic simulation, so ids are reproducible across runs.
 constexpr int kNodeShift = 48;
 
-std::uint16_t id_node(std::uint64_t id) {
-  return static_cast<std::uint16_t>((id >> kNodeShift) - 1);
-}
-
 }  // namespace
-
-// Quiescent-point reader (see g_install_mu above): the one sanctioned
-// lock-free access to the guarded slot.
-Recorder* recorder() HN_NO_THREAD_SAFETY_ANALYSIS { return g_recorder; }
-
-Recorder* install_recorder(Recorder* r) {
-  LockGuard lock(g_install_mu);
-  Recorder* previous = g_recorder;
-  g_recorder = r;
-  return previous;
-}
 
 #if HYDRANET_TRACING
 std::uint64_t current_ctx() { return g_ambient_ctx; }
@@ -56,78 +34,88 @@ ScopedCtx::ScopedCtx(std::uint64_t ctx) : previous_(g_ambient_ctx) {
 ScopedCtx::~ScopedCtx() { g_ambient_ctx = previous_; }
 #endif
 
-Recorder::Recorder(sim::Scheduler& scheduler) : Recorder(scheduler, Config{}) {}
-
-Recorder::Recorder(sim::Scheduler& scheduler, Config config)
-    : scheduler_(scheduler), config_(config) {
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  if (config_.sample_every == 0) config_.sample_every = 1;
+HostRing::HostRing(std::string node, sim::Scheduler& scheduler,
+                   std::uint16_t index, std::size_t capacity,
+                   std::size_t sample_every)
+    : node_(std::move(node)),
+      scheduler_(scheduler),
+      index_(index),
+      capacity_(capacity),
+      sample_every_(sample_every) {
+  // Reserved up front so the record path below never allocates.
+  records_.reserve(capacity_);
 }
 
-std::uint16_t Recorder::intern(const std::string& node) {
-  auto it = node_index_.find(node);
-  if (it != node_index_.end()) return it->second;
-  // First span on this node: allocate its ring up front so the record
-  // path below never allocates.
-  auto index = static_cast<std::uint16_t>(node_names_.size());
-  node_names_.push_back(node);
-  rings_.emplace_back();
-  rings_.back().records.reserve(config_.ring_capacity);
-  node_index_.emplace(node, index);
-  return index;
+std::uint64_t HostRing::next_id() {
+  return (static_cast<std::uint64_t>(index_) + 1) << kNodeShift | ++seq_;
 }
 
-std::uint64_t Recorder::next_id(const std::string& node) {
-  std::uint16_t index = intern(node);
-  NodeRing& ring = rings_[index];
-  return (static_cast<std::uint64_t>(index) + 1) << kNodeShift | ++ring.seq;
-}
-
-std::uint64_t Recorder::begin_root(const std::string& node) {
-  if (roots_seen_++ % config_.sample_every != 0) return 0;
+std::uint64_t HostRing::begin_root() {
+  if (roots_seen_++ % sample_every_ != 0) return 0;
   roots_sampled_++;
-  return next_id(node);
+  return next_id();
 }
 
-std::uint64_t Recorder::begin_child(std::uint64_t parent,
-                                    const std::string& node) {
+std::uint64_t HostRing::begin_child(std::uint64_t parent) {
   if (parent == 0) return 0;
-  return next_id(node);
+  return next_id();
 }
 
-void Recorder::commit(std::uint64_t id, std::uint64_t parent,
+void HostRing::commit(std::uint64_t id, std::uint64_t parent,
                       const char* name, sim::TimePoint start, std::uint32_t a,
                       std::uint32_t b) {
   commit_at(id, parent, name, start, scheduler_.now(), a, b);
 }
 
-void Recorder::commit_at(std::uint64_t id, std::uint64_t parent,
+void HostRing::commit_at(std::uint64_t id, std::uint64_t parent,
                          const char* name, sim::TimePoint start,
                          sim::TimePoint end, std::uint32_t a,
                          std::uint32_t b) {
   if (id == 0) return;
-  NodeRing& ring = rings_[id_node(id)];
-  SpanRecord record{id, parent, start, end, name, id_node(id), a, b};
-  if (ring.records.size() < config_.ring_capacity) {
-    ring.records.push_back(record);
+  assert(id >> kNodeShift == static_cast<std::uint64_t>(index_) + 1 &&
+         "a span is committed to the ring that numbered it");
+  SpanRecord record{id, parent, start, end, name, index_, a, b};
+  if (records_.size() < capacity_) {
+    records_.push_back(record);
   } else {
     // Ring full: flight-recorder semantics — overwrite the oldest.
-    ring.records[ring.next] = record;
-    ring.next = (ring.next + 1) % config_.ring_capacity;
+    records_[next_] = record;
+    next_ = (next_ + 1) % capacity_;
     spans_dropped_++;
   }
   spans_recorded_++;
 }
 
+Recorder::Recorder(Config config) : config_(config) {
+  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
+  if (config_.sample_every == 0) config_.sample_every = 1;
+}
+
+HostRing& Recorder::add_ring(std::string node, sim::Scheduler& scheduler) {
+  assert(rings_.size() < (1u << 16) - 1 && "span ids carry a 16-bit host");
+  const auto index = static_cast<std::uint16_t>(rings_.size());
+  rings_.push_back(std::unique_ptr<HostRing>(
+      new HostRing(std::move(node), scheduler, index, config_.ring_capacity,
+                   config_.sample_every)));
+  return *rings_.back();
+}
+
+std::uint64_t Recorder::sum(std::uint64_t HostRing::*counter) const {
+  std::uint64_t total = 0;
+  for (const auto& ring : rings_) total += (*ring).*counter;
+  return total;
+}
+
 std::vector<SpanRecord> Recorder::snapshot() const {
   std::vector<SpanRecord> out;
   std::size_t total = 0;
-  for (const NodeRing& ring : rings_) total += ring.records.size();
+  for (const auto& ring : rings_) total += ring->records_.size();
   out.reserve(total);
-  for (const NodeRing& ring : rings_) {
-    // `next` is the oldest surviving record once the ring has wrapped.
-    for (std::size_t i = 0; i < ring.records.size(); ++i) {
-      out.push_back(ring.records[(ring.next + i) % ring.records.size()]);
+  for (const auto& ring : rings_) {
+    const std::vector<SpanRecord>& records = ring->records_;
+    // `next_` is the oldest surviving record once the ring has wrapped.
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      out.push_back(records[(ring->next_ + i) % records.size()]);
     }
   }
   return out;

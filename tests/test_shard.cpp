@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@ using testutil::ip;
 
 TEST(ShardEngine, SingleShardBypassMatchesPlainScheduler) {
   Scheduler reference;
-  ShardEngine engine({.shards = 1, .seed = 7});
+  ShardEngine engine({.shards = 1});
 
   std::vector<std::int64_t> ref_order;
   std::vector<std::int64_t> eng_order;
@@ -43,7 +42,7 @@ TEST(ShardEngine, SingleShardBypassMatchesPlainScheduler) {
 }
 
 TEST(ShardEngine, RunUntilAdvancesEveryShardClockExactly) {
-  ShardEngine engine({.shards = 4, .seed = 7});
+  ShardEngine engine({.shards = 4});
   engine.observe_cross_shard_latency(microseconds(100));
   engine.run_until(TimePoint{1'000'000});
   for (std::size_t s = 0; s < engine.shards(); ++s) {
@@ -54,7 +53,7 @@ TEST(ShardEngine, RunUntilAdvancesEveryShardClockExactly) {
 // A cross-shard message may never land in its receiver's past, and must
 // execute at exactly its timestamp.
 TEST(ShardEngine, CrossShardPostsExecuteAtTheirTimestamp) {
-  ShardEngine engine({.shards = 2, .seed = 7});
+  ShardEngine engine({.shards = 2});
   const Duration w = microseconds(50);
   engine.observe_cross_shard_latency(w);
 
@@ -95,34 +94,25 @@ TEST(ShardEngine, CrossShardPostsExecuteAtTheirTimestamp) {
 }
 
 TEST(ShardEngine, MailboxOverflowStaysCorrect) {
-  ShardEngine engine({.shards = 2, .seed = 7, .mailbox_ring_capacity = 4});
+  ShardEngine engine({.shards = 2});
   engine.observe_cross_shard_latency(microseconds(10));
-  std::atomic<int> ran{0};
-  // One shard-0 event fans 64 posts into shard 1: ring (4) + overflow (60).
+  // One shard-0 event fans 60 more posts into shard 1 than its mailbox
+  // holds without growing; every one must still run, in timestamp order.
+  constexpr int kPosts = static_cast<int>(ShardEngine::kMailboxCapacity) + 60;
+  std::vector<int> ran;  // written by shard 1 only, read after the run
   engine.scheduler(0).schedule_at(TimePoint{5}, [&] {
-    for (int i = 0; i < 64; ++i) {
-      engine.post(0, 1, TimePoint{20'000 + i}, [&] { ran++; });
+    for (int i = 0; i < kPosts; ++i) {
+      engine.post(0, 1, TimePoint{20'000 + i},
+                  [&ran, i] { ran.push_back(i); });
     }
   });
   engine.run(100000);
-  EXPECT_EQ(ran.load(), 64);
+  ASSERT_EQ(ran.size(), static_cast<std::size_t>(kPosts));
+  for (int i = 0; i < kPosts; ++i) EXPECT_EQ(ran[i], i) << "out of order";
   const ShardEngine::Counters totals = engine.counters_total();
-  EXPECT_EQ(totals.mailbox_posted, 64u);
-  EXPECT_EQ(totals.mailbox_drained, 64u);
+  EXPECT_EQ(totals.mailbox_posted, static_cast<std::uint64_t>(kPosts));
+  EXPECT_EQ(totals.mailbox_drained, static_cast<std::uint64_t>(kPosts));
   EXPECT_EQ(totals.mailbox_overflows, 60u);
-}
-
-TEST(ShardEngine, PerShardRngIsSeedDerivedAndStable) {
-  ShardEngine a({.shards = 4, .seed = 99});
-  ShardEngine b({.shards = 4, .seed = 99});
-  ShardEngine c({.shards = 4, .seed = 100});
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(a.rng(s).next(), b.rng(s).next()) << "shard " << s;
-  }
-  EXPECT_NE(a.rng(0).next(), c.rng(0).next());
-  // Distinct shards draw from distinct streams.
-  ShardEngine d({.shards = 2, .seed = 99});
-  EXPECT_NE(d.rng(0).next(), d.rng(1).next());
 }
 
 // ---- network-level: real TCP traffic across a shard boundary ------------

@@ -1,7 +1,8 @@
 // Lockstep differential test (DESIGN.md §10): the Figure-4 failover
 // scenario must produce the same observable run at --shards=1 and
-// --shards=4 — identical delivered byte streams and an identical
-// failover event timeline.
+// --shards=4 — identical delivered byte streams, an identical failover
+// event timeline, and byte-identical span traces and post-mortems (each
+// host's spans live in its own ring, stamped by its own clock).
 //
 // Conservative synchronisation only reorders execution *between* shards
 // inside an epoch; links are lossless here, so both runs carry the same
@@ -19,6 +20,7 @@
 #include "apps/ttcp.hpp"
 #include "stats/timeline.hpp"
 #include "testbed/testbed.hpp"
+#include "trace2/export.hpp"
 
 namespace hydranet::testbed {
 namespace {
@@ -30,7 +32,27 @@ struct FailoverRun {
   /// The failover story: every timeline event, time-sorted.
   std::vector<std::string> timeline;
   std::uint64_t mailbox_posted = 0;
+  std::string spans_jsonl;  ///< trace2::to_spans_jsonl
+  std::string postmortem;   ///< trace2::postmortem_text
 };
+
+/// "" when `a` and `b` are equal, else their first differing line (span
+/// traces run to megabytes; a plain EXPECT_EQ would print all of them).
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream sa(a);
+  std::istringstream sb(b);
+  std::string la;
+  std::string lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(sa, la));
+    const bool more_b = static_cast<bool>(std::getline(sb, lb));
+    if (!more_a && !more_b) return "";
+    if (more_a != more_b || la != lb) {
+      return "line " + std::to_string(line) + ": '" + (more_a ? la : "<end>") +
+             "' vs '" + (more_b ? lb : "<end>") + "'";
+    }
+  }
+}
 
 FailoverRun run_failover(std::size_t shards) {
   TestbedConfig config;
@@ -38,6 +60,7 @@ FailoverRun run_failover(std::size_t shards) {
   config.backups = 2;  // 5 hosts over up to 4 shards
   config.shards = shards;
   Testbed bed(config);
+  const trace2::Recorder& recorder = bed.net().enable_tracing();
 
   tcp::TcpOptions tcp_options = apps::period_tcp_options();
   std::vector<std::unique_ptr<apps::TtcpReceiver>> receivers;
@@ -86,6 +109,8 @@ FailoverRun run_failover(std::size_t shards) {
   }
   std::sort(run.timeline.begin(), run.timeline.end());
   run.mailbox_posted = bed.net().engine().counters_total().mailbox_posted;
+  run.spans_jsonl = trace2::to_spans_jsonl(recorder);
+  run.postmortem = trace2::postmortem_text(&recorder, bed.stats().timeline());
   return run;
 }
 
@@ -105,6 +130,13 @@ TEST(ShardDifferential, Fig4FailoverIsIdenticalAtOneAndFourShards) {
   // The sharded run really exercised the mailbox path.
   EXPECT_EQ(single.mailbox_posted, 0u);
   EXPECT_GT(sharded.mailbox_posted, 0u);
+
+  // Tracing is a performance knob too: the same spans, byte for byte,
+  // and the same post-mortem.
+  EXPECT_EQ(first_difference(single.spans_jsonl, sharded.spans_jsonl), "");
+  EXPECT_EQ(first_difference(single.postmortem, sharded.postmortem), "");
+  EXPECT_EQ(single.spans_jsonl.empty(), !trace2::kEnabled);
+  EXPECT_NE(single.postmortem.find("post-mortem: service"), std::string::npos);
 }
 
 TEST(ShardDifferential, ShardedFailoverIsRepeatable) {
@@ -112,6 +144,7 @@ TEST(ShardDifferential, ShardedFailoverIsRepeatable) {
   FailoverRun second = run_failover(4);
   EXPECT_EQ(first.streams, second.streams);
   EXPECT_EQ(first.timeline, second.timeline);
+  EXPECT_EQ(first_difference(first.spans_jsonl, second.spans_jsonl), "");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "stats/export.hpp"
 #include "stats/metrics.hpp"
 #include "testbed/testbed.hpp"
+#include "trace2/export.hpp"
 
 namespace hydranet::stats {
 namespace {
@@ -163,20 +164,21 @@ TEST(Timeline, FailoverPhasesFromSyntheticRun) {
   timeline.record(at(2.1), "server2", event::kPromoted);
   timeline.record(at(2.2), "client", event::kStreamResumed);
 
-  FailoverPhases phases = failover_phases(timeline);
-  EXPECT_DOUBLE_EQ(phases.crash_s, 1.0);
-  EXPECT_DOUBLE_EQ(phases.report_ms, 500.0);
-  EXPECT_DOUBLE_EQ(phases.detection_ms, 1000.0);
-  EXPECT_NEAR(phases.promote_ms, 1100.0, 1e-6);
-  EXPECT_NEAR(phases.resume_ms, 1200.0, 1e-6);
+  std::vector<trace2::FailoverBreakdown> phases =
+      trace2::postmortem(nullptr, timeline);
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_DOUBLE_EQ(phases[0].crash_s, 1.0);
+  EXPECT_DOUBLE_EQ(phases[0].report_received_ms, 500.0);
+  EXPECT_DOUBLE_EQ(phases[0].eliminate_ms, 1000.0);
+  EXPECT_NEAR(phases[0].promote_ms, 1100.0, 1e-6);
+  EXPECT_NEAR(phases[0].resume_ms, 1200.0, 1e-6);
 }
 
 TEST(Timeline, FailoverPhasesWithoutCrashAreNegative) {
   EventTimeline timeline;
   timeline.record(sim::TimePoint{}, "x", event::kReplicaEliminated);
-  FailoverPhases phases = failover_phases(timeline);
-  EXPECT_LT(phases.crash_s, 0);
-  EXPECT_LT(phases.detection_ms, 0);
+  // No crash, no failover: nothing to decompose.
+  EXPECT_TRUE(trace2::postmortem(nullptr, timeline).empty());
 }
 
 // --------------------------------------------------------------- exporters
@@ -364,10 +366,12 @@ TEST(StatsIntegration, CrashLeavesOrderedFailoverTimeline) {
   EXPECT_EQ(crash->node, "server1");
   EXPECT_EQ(promoted->node, "server2");
 
-  FailoverPhases phases = failover_phases(timeline);
-  EXPECT_GT(phases.report_ms, 0);
-  EXPECT_GE(phases.detection_ms, phases.report_ms);
-  EXPECT_GE(phases.promote_ms, phases.detection_ms);
+  std::vector<trace2::FailoverBreakdown> phases =
+      trace2::postmortem(nullptr, timeline);
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_GT(phases[0].report_received_ms, 0);
+  EXPECT_GE(phases[0].eliminate_ms, phases[0].report_received_ms);
+  EXPECT_GE(phases[0].promote_ms, phases[0].eliminate_ms);
 
   // The per-replica failure-signal counter corroborates the timeline.
   Registry& registry = bed.stats();

@@ -57,49 +57,65 @@ std::vector<SpanRecord> spans_named(const Recorder& recorder,
 
 TEST(Trace2Recorder, IdsAreDeterministicAndEncodeNode) {
   sim::Scheduler scheduler;
-  Recorder a(scheduler);
-  Recorder b(scheduler);
+  Recorder a;
+  Recorder b;
+  HostRing& a_client = a.add_ring("client", scheduler);
+  HostRing& a_server = a.add_ring("server", scheduler);
+  HostRing& b_client = b.add_ring("client", scheduler);
+  HostRing& b_server = b.add_ring("server", scheduler);
   // Two recorders fed the same begin sequence allocate identical ids:
   // nothing about an id depends on wall clock or addresses.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(a.begin_root("client"), b.begin_root("client"));
-    std::uint64_t parent = a.begin_root("client");
-    EXPECT_EQ(a.begin_child(parent, "server"),
-              b.begin_child(b.begin_root("client"), "server"));
+    EXPECT_EQ(a_client.begin_root(), b_client.begin_root());
+    std::uint64_t parent = a_client.begin_root();
+    EXPECT_EQ(a_server.begin_child(parent),
+              b_server.begin_child(b_client.begin_root()));
   }
-  // Distinct nodes get distinct id spaces (top bits).
-  Recorder c(scheduler);
-  std::uint64_t client_id = c.begin_root("client");
-  std::uint64_t server_id = c.begin_child(client_id, "server");
+  // Distinct hosts get distinct id spaces (top bits).
+  Recorder c;
+  HostRing& client = c.add_ring("client", scheduler);
+  HostRing& server = c.add_ring("server", scheduler);
+  std::uint64_t client_id = client.begin_root();
+  std::uint64_t server_id = server.begin_child(client_id);
   EXPECT_NE(client_id >> 48, server_id >> 48);
   // Child of nothing is nothing (sampled-out chains stay dark).
-  EXPECT_EQ(c.begin_child(0, "server"), 0u);
+  EXPECT_EQ(server.begin_child(0), 0u);
 }
 
 TEST(Trace2Recorder, RootSamplingTakesEveryNth) {
   sim::Scheduler scheduler;
   Recorder::Config config;
   config.sample_every = 4;
-  Recorder recorder(scheduler, config);
+  Recorder recorder(config);
+  HostRing& client = recorder.add_ring("client", scheduler);
   int sampled = 0;
   for (int i = 0; i < 16; ++i) {
-    if (recorder.begin_root("client") != 0) sampled++;
+    if (client.begin_root() != 0) sampled++;
   }
   EXPECT_EQ(sampled, 4);
   EXPECT_EQ(recorder.roots_seen(), 16u);
   EXPECT_EQ(recorder.roots_sampled(), 4u);
+  // Each host counts its own roots: after one more client root, the
+  // server's first root is still the first of its own four.
+  EXPECT_NE(client.begin_root(), 0u);
+  HostRing& server = recorder.add_ring("server", scheduler);
+  EXPECT_NE(server.begin_root(), 0u);
+  EXPECT_EQ(server.begin_root(), 0u);
+  EXPECT_EQ(recorder.roots_seen(), 19u);
+  EXPECT_EQ(recorder.roots_sampled(), 6u);
 }
 
 TEST(Trace2Recorder, RingOverflowDropsOldestAndCounts) {
   sim::Scheduler scheduler;
   Recorder::Config config;
   config.ring_capacity = 4;
-  Recorder recorder(scheduler, config);
+  Recorder recorder(config);
+  HostRing& client = recorder.add_ring("client", scheduler);
   for (int i = 0; i < 6; ++i) {
-    std::uint64_t id = recorder.begin_root("client");
-    recorder.commit_at(id, 0, span::kAppWrite, sim::TimePoint{i * 100},
-                       sim::TimePoint{i * 100 + 50},
-                       static_cast<std::uint32_t>(i), 0);
+    std::uint64_t id = client.begin_root();
+    client.commit_at(id, 0, span::kAppWrite, sim::TimePoint{i * 100},
+                     sim::TimePoint{i * 100 + 50},
+                     static_cast<std::uint32_t>(i), 0);
   }
   EXPECT_EQ(recorder.spans_recorded(), 6u);
   EXPECT_EQ(recorder.spans_dropped(), 2u);
@@ -110,15 +126,39 @@ TEST(Trace2Recorder, RingOverflowDropsOldestAndCounts) {
   EXPECT_EQ(kept.back().a, 5u);
 }
 
+TEST(Trace2Recorder, SpansEndOnTheirOwnHostsClock) {
+  // Two hosts on two shards' schedulers whose clocks differ: each span's
+  // end stamp comes from the clock of the host that emitted it.
+  sim::Scheduler shard0;
+  sim::Scheduler shard1;
+  shard0.run_until(sim::TimePoint{1000});
+  shard1.run_until(sim::TimePoint{5000});
+  Recorder recorder;
+  HostRing& a = recorder.add_ring("a", shard0);
+  HostRing& b = recorder.add_ring("b", shard1);
+  std::uint64_t root = a.begin_root();
+  a.commit(root, 0, span::kAppWrite, sim::TimePoint{900});
+  std::uint64_t child = b.begin_child(root);
+  b.commit(child, root, span::kTcpInput, sim::TimePoint{4000});
+  std::vector<SpanRecord> spans = recorder.snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(recorder.node_name(spans[0].node), "a");
+  EXPECT_EQ(spans[0].end, sim::TimePoint{1000});
+  EXPECT_EQ(recorder.node_name(spans[1].node), "b");
+  EXPECT_EQ(spans[1].end, sim::TimePoint{5000});
+}
+
 TEST(Trace2Export, ChromeJsonCarriesThreadsSpansAndFlows) {
   sim::Scheduler scheduler;
-  Recorder recorder(scheduler);
-  std::uint64_t root = recorder.begin_root("client");
-  recorder.commit_at(root, 0, span::kAppWrite, sim::TimePoint{1000},
-                     sim::TimePoint{3000});
-  std::uint64_t child = recorder.begin_child(root, "server");
-  recorder.commit_at(child, root, span::kTcpInput, sim::TimePoint{2000},
-                     sim::TimePoint{2500});
+  Recorder recorder;
+  HostRing& client = recorder.add_ring("client", scheduler);
+  HostRing& server = recorder.add_ring("server", scheduler);
+  std::uint64_t root = client.begin_root();
+  client.commit_at(root, 0, span::kAppWrite, sim::TimePoint{1000},
+                   sim::TimePoint{3000});
+  std::uint64_t child = server.begin_child(root);
+  server.commit_at(child, root, span::kTcpInput, sim::TimePoint{2000},
+                   sim::TimePoint{2500});
 
   std::string json = to_chrome_json(recorder);
   // Thread metadata names both nodes.
@@ -145,8 +185,7 @@ TEST(Trace2EndToEnd, CausalChainClientRedirectorReplica) {
   config.setup = Setup::primary_backup;
   config.backups = 1;
   Testbed bed(config);
-  Recorder recorder(bed.scheduler());
-  ScopedRecorder installed(recorder);
+  const Recorder& recorder = bed.net().enable_tracing();
 
   TtcpRun run(bed, 256 * 1024);
   ASSERT_TRUE(run.transmitter->start().ok());
@@ -214,8 +253,7 @@ TEST(Trace2EndToEnd, SamplingScalesSpanVolume) {
     Testbed bed(config);
     Recorder::Config rc;
     rc.sample_every = every;
-    Recorder recorder(bed.scheduler(), rc);
-    ScopedRecorder installed(recorder);
+    const Recorder& recorder = bed.net().enable_tracing(rc);
     TtcpRun run(bed, 128 * 1024);
     EXPECT_TRUE(run.transmitter->start().ok());
     bed.net().run_for(sim::seconds(30));
@@ -239,8 +277,7 @@ TEST(Trace2Postmortem, SingleFailoverDecomposition) {
   config.backups = 1;
   config.detector.retransmission_threshold = 4;
   Testbed bed(config);
-  Recorder recorder(bed.scheduler());
-  ScopedRecorder installed(recorder);
+  const Recorder& recorder = bed.net().enable_tracing();
 
   TtcpRun run(bed, 3 * 1024 * 1024);
   ASSERT_TRUE(run.transmitter->start().ok());
@@ -271,6 +308,40 @@ TEST(Trace2Postmortem, SingleFailoverDecomposition) {
   std::string text = postmortem_text(&recorder, timeline);
   EXPECT_NE(text.find("post-mortem: service"), std::string::npos);
   EXPECT_NE(text.find("server2 promoted"), std::string::npos);
+}
+
+TEST(Trace2Postmortem, PhasesTakeTheEarliestEventNotTheFirstRecorded) {
+  // With more than one shard, events of one epoch are recorded in thread
+  // order: a later failure_signal can be recorded before an earlier one,
+  // and same-instant events in either node order.  The decomposition must
+  // read the timeline by time (ties to the node name that sorts first).
+  auto at = [](std::int64_t ms) {
+    return sim::TimePoint{sim::milliseconds(ms).ns};
+  };
+  const std::string service = "192.20.225.20:5001";
+  stats::EventTimeline timeline;
+  timeline.record(at(1000), "server1", stats::event::kCrashInjected, service);
+  timeline.record(at(1300), "server2", stats::event::kFailureSignal,
+                  service + "<->192.20.225.1:40000 late");
+  timeline.record(at(1200), "server2", stats::event::kFailureSignal,
+                  service + "<->192.20.225.1:40000 early");
+  timeline.record(at(1450), "redirector", stats::event::kReplicaEliminated,
+                  service + " server1");
+  timeline.record(at(1400), "redirector", stats::event::kReplicaEliminated,
+                  service + " server1");
+  timeline.record(at(1500), "server3", stats::event::kPromoted, service);
+  timeline.record(at(1500), "server2", stats::event::kPromoted, service);
+  timeline.record(at(1700), "client", stats::event::kStreamResumed);
+  timeline.record(at(1600), "client", stats::event::kStreamResumed);
+
+  std::vector<FailoverBreakdown> breakdowns = postmortem(nullptr, timeline);
+  ASSERT_EQ(breakdowns.size(), 1u);
+  const FailoverBreakdown& b = breakdowns[0];
+  EXPECT_DOUBLE_EQ(b.detect_ms, 200.0);
+  EXPECT_DOUBLE_EQ(b.eliminate_ms, 400.0);
+  EXPECT_DOUBLE_EQ(b.promote_ms, 500.0);
+  EXPECT_EQ(b.promoted_node, "server2");
+  EXPECT_DOUBLE_EQ(b.resume_ms, 600.0);
 }
 
 TEST(Trace2Postmortem, TwoConcurrentFailoversStayServiceTagged) {

@@ -229,12 +229,12 @@ void print_stats_summary(const stats::Registry& registry) {
 
 // ---- span tracing -----------------------------------------------------------
 
-/// Owns and installs the flight recorder for one run when --trace is on.
+/// Turns the testbed network's flight recorder on for one run when
+/// --trace is on.
 struct TraceSession {
-  std::unique_ptr<trace2::Recorder> recorder;
-  std::unique_ptr<trace2::ScopedRecorder> installed;
+  const trace2::Recorder* recorder = nullptr;
 
-  TraceSession(const Options& options, sim::Scheduler& scheduler) {
+  TraceSession(const Options& options, testbed::Testbed& bed) {
     if (!options.span_trace) return;
     if (!trace2::kEnabled) {
       std::fprintf(stderr,
@@ -244,8 +244,7 @@ struct TraceSession {
     }
     trace2::Recorder::Config config;
     config.sample_every = options.trace_sample;
-    recorder = std::make_unique<trace2::Recorder>(scheduler, config);
-    installed = std::make_unique<trace2::ScopedRecorder>(*recorder);
+    recorder = &bed.net().enable_tracing(config);
   }
 
   /// Writes --trace-out (.jsonl = spans JSONL, anything else = Chrome
@@ -365,7 +364,7 @@ RunResult run_ttcp_once(const Options& options, testbed::Testbed& bed,
 
 int cmd_ttcp(const Options& options) {
   testbed::Testbed bed(make_config(options));
-  TraceSession session(options, bed.scheduler());
+  TraceSession session(options, bed);
   RunResult result = run_ttcp_once(options, bed);
   std::printf("setup=%s backups=%d size=%zu total=%zu loss=%.3f seed=%llu\n",
               testbed::to_string(options.setup), options.backups,
@@ -396,7 +395,7 @@ int cmd_sweep(const Options& options) {
     one.total_bytes = std::clamp<std::size_t>(size * 1500, 96 * 1024,
                                               2 * 1024 * 1024);
     testbed::Testbed bed(make_config(one));
-    TraceSession session(one, bed.scheduler());
+    TraceSession session(one, bed);
     RunResult result = run_ttcp_once(one, bed);
     stats::Registry& registry = bed.stats();
     std::printf("csv,%s,%zu,%.1f,%llu,%llu,%llu,%llu\n",
@@ -425,7 +424,7 @@ int cmd_failover(const Options& options) {
   Options one = options;
   one.setup = testbed::Setup::primary_backup;
   testbed::Testbed bed(make_config(one));
-  TraceSession session(one, bed.scheduler());
+  TraceSession session(one, bed);
   RunResult result =
       run_ttcp_once(one, bed, options.crash_at_ms, options.crash_index);
   std::printf("failover run: %s, %.1f kB/s end-to-end, %llu retransmits, "
@@ -436,30 +435,12 @@ int cmd_failover(const Options& options) {
               static_cast<unsigned long long>(result.timeouts));
 
   stats::Registry& registry = bed.stats();
-  stats::FailoverPhases phases = stats::failover_phases(registry.timeline());
-  auto phase = [](double ms) -> std::string {
-    if (ms < 0) return "n/a";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f ms", ms);
-    return buf;
-  };
-  if (phases.crash_s >= 0) {
-    std::printf("timeline: crash at %.3fs; failure report %s; elimination %s; "
-                "promotion %s; stream resumed %s\n",
-                phases.crash_s, phase(phases.report_ms).c_str(),
-                phase(phases.detection_ms).c_str(),
-                phase(phases.promote_ms).c_str(),
-                phase(phases.resume_ms).c_str());
-  } else {
-    std::printf("timeline: no crash recorded (stream finished first?)\n");
-  }
   // Span-aware post-mortem: phase decomposition per crashed service plus
   // deposit-gate stall aggregates (works without --trace too, from the
   // event timeline alone).
-  std::fputs(trace2::postmortem_text(session.recorder.get(),
-                                     registry.timeline())
-                 .c_str(),
-             stdout);
+  std::fputs(
+      trace2::postmortem_text(session.recorder, registry.timeline()).c_str(),
+      stdout);
   if (!options.stats_file.empty()) {
     print_stats_summary(registry);
     if (!export_stats(options, registry)) return 1;
