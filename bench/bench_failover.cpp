@@ -93,7 +93,7 @@ FailoverResult measure_failover(int threshold) {
     if (transmitter.report().failed) break;
   }
   std::vector<trace2::FailoverBreakdown> breakdowns =
-      trace2::postmortem(nullptr, bed.net().metrics().timeline());
+      trace2::postmortem(nullptr, bed.stats().timeline());
   if (breakdowns.empty()) return result;
   const trace2::FailoverBreakdown& phases = breakdowns.front();
   result.report_ms = phases.report_received_ms;

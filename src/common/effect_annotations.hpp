@@ -35,7 +35,7 @@
 //      `throw` and I/O outside the slab/pool components.
 //
 // The deliberate escape hatch is the HN_EFFECT_ESCAPE(...) /
-// HN_EFFECT_ESCAPE_END() region, mirroring HN_NO_THREAD_SAFETY_ANALYSIS:
+// HN_EFFECT_ESCAPE_END() region:
 // a sanctioned cold-path effect inside a hot function — the slab arena
 // growing a page, the scheduler's staging buffer spilling into wheel
 // buckets, event-callback dispatch (the callee is outside the scheduler's

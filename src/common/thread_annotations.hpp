@@ -15,12 +15,6 @@
 //     engine's partitioning rule (DESIGN.md §10).  `tools/shard_affinity.py`
 //     cross-checks the markers against its entry-point table and polices
 //     who calls them.
-//
-// The deliberate escape hatch is HN_NO_THREAD_SAFETY_ANALYSIS: quiescent-
-// point readers (timeline accessors, counter totals) read guarded state
-// without the lock because the shard engine's final barrier provides the
-// happens-before edge.  Each use states that in a comment; the annotation
-// documents the exception instead of hiding it.
 #pragma once
 
 #include <mutex>
@@ -43,8 +37,6 @@
   HN_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define HN_EXCLUDES(...) HN_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define HN_RETURN_CAPABILITY(x) HN_THREAD_ANNOTATION(lock_returned(x))
-#define HN_NO_THREAD_SAFETY_ANALYSIS \
-  HN_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 /// Marks a method as shard-affine: it touches per-host state owned by one
 /// shard and must only execute on that shard's thread — reached from the
@@ -57,16 +49,9 @@ namespace hydranet {
 
 /// std::mutex with the Clang capability annotations, so fields can declare
 /// HN_GUARDED_BY(mu_) and -Wthread-safety proves every access holds it.
-///
-/// Unlike std::mutex it is movable: a move constructs a fresh unlocked
-/// mutex on both sides.  That is only sound while nobody holds or contends
-/// the lock — i.e. at quiescent points — which is exactly when the movable
-/// holders (stats::EventTimeline inside stats::Registry) are moved.
 class HN_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  Mutex(Mutex&&) noexcept {}
-  Mutex& operator=(Mutex&&) noexcept { return *this; }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 

@@ -62,21 +62,17 @@ class Host {
 
   // ---- observability -----------------------------------------------------
 
-  /// The owning Network points every host at its shared event timeline so
-  /// deep layers (ft-TCP, management agents) can emit protocol events.
-  void set_timeline(stats::EventTimeline* timeline) { timeline_ = timeline; }
-  stats::EventTimeline* timeline() { return timeline_; }
-
-  /// Records a timeline event under this host's name at the current virtual
-  /// time.  No-op when no timeline is attached (e.g. hosts built outside a
-  /// Network in unit tests).
+  /// Records a protocol event (ft-TCP, management agents, fault
+  /// injection) under this host's name at its current virtual time, in
+  /// the host's own event log.
   HN_SHARD_AFFINE void record_event(std::string kind,
                                     std::string detail = {}) {
-    if (timeline_ != nullptr) {
-      timeline_->record(scheduler_.now(), name_, std::move(kind),
-                        std::move(detail));
-    }
+    event_log_.record(scheduler_.now(), name_, std::move(kind),
+                      std::move(detail));
   }
+  /// This host's events in emission order; Network::publish_metrics()
+  /// merges every host's log into the network's timeline.
+  const stats::EventTimeline& event_log() const { return event_log_; }
 
   /// Publishes this host's IP and TCP counters into `registry` under the
   /// host's name ("ip.*", "tcp.*" — see README "Observability").
@@ -89,7 +85,7 @@ class Host {
   udp::UdpStack udp_;
   tcp::TcpStack tcp_;
   icmp::IcmpStack icmp_;
-  stats::EventTimeline* timeline_ = nullptr;
+  stats::EventTimeline event_log_;
 };
 
 }  // namespace hydranet::host

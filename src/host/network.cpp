@@ -107,7 +107,6 @@ Host& Network::add_host(const std::string& name, std::size_t shard) {
   auto host = std::make_unique<Host>(engine_->scheduler(shard), name,
                                      next_host_seed_);
   next_host_seed_ = next_host_seed_ * 6364136223846793005ull + 1442695040888963407ull;
-  host->set_timeline(&metrics_.timeline());
   if (tracer_ != nullptr) {
     host->ip().set_trace_ring(
         &tracer_->add_ring(host->name(), host->scheduler()));
@@ -209,7 +208,13 @@ link::Link& Network::connect(Host& a, net::Ipv4Address address_a, Host& b,
 }
 
 void Network::publish_metrics() {
-  for (const auto& [name, host] : hosts_) host->publish_metrics(metrics_);
+  std::vector<const stats::EventTimeline*> logs;
+  logs.reserve(host_order_.size());
+  for (const Host* host : host_order_) {
+    host->publish_metrics(metrics_);
+    logs.push_back(&host->event_log());
+  }
+  metrics_.timeline() = stats::EventTimeline::merge(logs);
   // Process-wide datapath counters: per-thread (per-shard) blocks, summed
   // on read.  Only valid at quiescent points — which publish_metrics is.
   const DatapathCounters dp = datapath_totals();

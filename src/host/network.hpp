@@ -94,14 +94,15 @@ class Network {
 
   // ---- observability -----------------------------------------------------
 
-  /// The network-wide metrics registry and event timeline.  Counters are
-  /// published on demand (publish_metrics); the timeline fills live as
-  /// hosts record protocol events.
+  /// The network-wide metrics registry and event timeline: a snapshot,
+  /// filled by publish_metrics.
   stats::Registry& metrics() { return metrics_; }
 
-  /// Snapshots every host's and link's counters into the registry.  Call
-  /// at quiescent points only (between runs): process-wide counters are
-  /// per-thread blocks summed on read.
+  /// Snapshots every host's and link's counters into the registry and
+  /// replaces its timeline with the merge of the host event logs, ordered
+  /// by (time, host creation order, per-host sequence) — the same at any
+  /// shard count.  Call at quiescent points only (between runs):
+  /// process-wide counters are per-thread blocks summed on read.
   void publish_metrics();
 
   /// Turns the causal span tracer on (README "Tracing"): creates this
@@ -115,13 +116,12 @@ class Network {
   std::unique_ptr<sim::ShardEngine> engine_;
   std::uint64_t next_host_seed_;
   std::size_t next_shard_ = 0;  ///< round-robin cursor for add_host
-  // Declared before hosts_/links_: hosts hold a pointer to the timeline
-  // inside metrics_, and to their span ring inside tracer_, and may
-  // record events or spans while being torn down.
   stats::Registry metrics_;
+  // Declared before hosts_/links_: hosts hold a pointer to their span
+  // ring inside tracer_ and may record spans while being torn down.
   std::unique_ptr<trace2::Recorder> tracer_;
   std::unordered_map<std::string, std::unique_ptr<Host>> hosts_;
-  std::vector<Host*> host_order_;  ///< creation order (span ring order)
+  std::vector<Host*> host_order_;  ///< creation order (span rings, event merge)
   std::unordered_map<const Host*, std::size_t> host_shards_;
   std::vector<std::unique_ptr<link::Link>> links_;
 };

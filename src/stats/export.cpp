@@ -1,10 +1,8 @@
 #include "stats/export.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 namespace hydranet::stats {
 
@@ -32,8 +30,8 @@ void append_escaped(std::string& out, const std::string& s) {
 namespace {
 
 std::string format_double(double v) {
-  // Shortest representation that round-trips (CSV import must reproduce
-  // gauges and histogram sums exactly).
+  // Shortest representation that parses back to exactly `v`, so an
+  // exported gauge or histogram sum loses no precision.
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   double parsed = std::strtod(buf, nullptr);
@@ -78,46 +76,6 @@ std::string csv_field(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-/// Splits one CSV record on commas, honouring RFC-4180 quoting.  For
-/// unquoted input the last field keeps embedded commas (the historical
-/// lenient behaviour, so old exports still import).
-std::vector<std::string> split_fields(const std::string& line,
-                                      std::size_t max_fields) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (true) {
-    std::string field;
-    if (pos < line.size() && line[pos] == '"') {
-      ++pos;  // opening quote
-      while (pos < line.size()) {
-        if (line[pos] == '"') {
-          if (pos + 1 < line.size() && line[pos + 1] == '"') {
-            field += '"';  // "" = escaped quote
-            pos += 2;
-          } else {
-            ++pos;  // closing quote
-            break;
-          }
-        } else {
-          field += line[pos++];
-        }
-      }
-    } else if (fields.size() + 1 == max_fields) {
-      field = line.substr(pos);
-      pos = line.size();
-    } else {
-      std::size_t comma = line.find(',', pos);
-      if (comma == std::string::npos) comma = line.size();
-      field = line.substr(pos, comma - pos);
-      pos = comma;
-    }
-    fields.push_back(std::move(field));
-    if (pos >= line.size()) break;
-    ++pos;  // separator comma
-  }
-  return fields;
 }
 
 }  // namespace
@@ -223,71 +181,6 @@ std::string to_csv(const Registry& registry) {
            csv_field(e.detail) + '\n';
   }
   return out;
-}
-
-Result<Registry> from_csv(const std::string& csv) {
-  Registry registry;
-  // Partially-built histograms: bounds/buckets accumulate from hbucket
-  // rows, the hsummary row seals them.
-  struct PendingHistogram {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
-  };
-  std::map<std::pair<std::string, std::string>, PendingHistogram> pending;
-
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    // Record boundary: the first newline *outside* quotes (quoted event
-    // details may span lines).
-    std::size_t eol = pos;
-    bool in_quotes = false;
-    while (eol < csv.size() && (in_quotes || csv[eol] != '\n')) {
-      if (csv[eol] == '"') in_quotes = !in_quotes;
-      ++eol;
-    }
-    std::string line = csv.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line.rfind("record,", 0) == 0) continue;
-
-    if (line.rfind("counter,", 0) == 0) {
-      auto f = split_fields(line, 4);
-      if (f.size() != 4) return Errc::invalid_argument;
-      registry.set_counter(f[1], f[2],
-                           std::strtoull(f[3].c_str(), nullptr, 10));
-    } else if (line.rfind("gauge,", 0) == 0) {
-      auto f = split_fields(line, 4);
-      if (f.size() != 4) return Errc::invalid_argument;
-      registry.set_gauge(f[1], f[2], std::strtod(f[3].c_str(), nullptr));
-    } else if (line.rfind("hbucket,", 0) == 0) {
-      auto f = split_fields(line, 5);
-      if (f.size() != 5) return Errc::invalid_argument;
-      PendingHistogram& h = pending[{f[1], f[2]}];
-      if (f[3] != "inf") h.bounds.push_back(std::strtod(f[3].c_str(), nullptr));
-      h.buckets.push_back(std::strtoull(f[4].c_str(), nullptr, 10));
-    } else if (line.rfind("hsummary,", 0) == 0) {
-      auto f = split_fields(line, 7);
-      if (f.size() != 7) return Errc::invalid_argument;
-      PendingHistogram h = pending[{f[1], f[2]}];
-      registry.set_histogram(
-          f[1], f[2],
-          Histogram::from_parts(std::move(h.bounds), std::move(h.buckets),
-                                std::strtoull(f[3].c_str(), nullptr, 10),
-                                std::strtod(f[4].c_str(), nullptr),
-                                std::strtod(f[5].c_str(), nullptr),
-                                std::strtod(f[6].c_str(), nullptr)));
-      pending.erase({f[1], f[2]});
-    } else if (line.rfind("event,", 0) == 0) {
-      auto f = split_fields(line, 5);
-      if (f.size() != 5) return Errc::invalid_argument;
-      registry.timeline().record(
-          sim::TimePoint{static_cast<std::int64_t>(
-              std::llround(std::strtod(f[1].c_str(), nullptr) * 1e9))},
-          f[2], f[3], f[4]);
-    } else {
-      return Errc::invalid_argument;
-    }
-  }
-  return registry;
 }
 
 Status write_file(const std::string& path, const std::string& text) {

@@ -4,7 +4,8 @@
 // timeline — for downstream analysis (the CLI's --stats flag and the
 // benches emit this).
 //
-// CSV: line-per-value records that round-trip through from_csv():
+// CSV: line-per-value records, one per counter, gauge, histogram bucket,
+// histogram summary and event (fields quoted per RFC 4180 when needed):
 //   counter,<node>,<name>,<value>
 //   gauge,<node>,<name>,<value>
 //   hbucket,<node>,<name>,<upper-bound|inf>,<count>
@@ -21,9 +22,6 @@ namespace hydranet::stats {
 
 std::string to_json(const Registry& registry);
 std::string to_csv(const Registry& registry);
-
-/// Rebuilds a registry (metrics and events) from to_csv() output.
-Result<Registry> from_csv(const std::string& csv);
 
 /// Writes `text` to `path` ("-" writes to stdout).
 Status write_file(const std::string& path, const std::string& text);

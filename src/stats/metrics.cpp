@@ -47,21 +47,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-Histogram Histogram::from_parts(std::vector<double> bounds,
-                                std::vector<std::uint64_t> bucket_counts,
-                                std::uint64_t count, double sum, double min,
-                                double max) {
-  Histogram h(std::move(bounds));
-  if (bucket_counts.size() == h.buckets_.size()) {
-    h.buckets_ = std::move(bucket_counts);
-  }
-  h.count_ = count;
-  h.sum_ = sum;
-  h.min_ = min;
-  h.max_ = max;
-  return h;
-}
-
 const std::vector<double>& stall_ms_buckets() {
   static const std::vector<double> buckets{0.1, 0.3,  1,   3,    10,
                                            30,  100,  300, 1000, 3000};

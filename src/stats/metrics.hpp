@@ -72,12 +72,6 @@ class Histogram {
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   const std::vector<std::uint64_t>& bucket_counts() const { return buckets_; }
 
-  /// Reconstructs a histogram from exported parts (CSV/JSON import).
-  static Histogram from_parts(std::vector<double> bounds,
-                              std::vector<std::uint64_t> bucket_counts,
-                              std::uint64_t count, double sum, double min,
-                              double max);
-
  private:
   std::vector<double> bounds_;
   std::vector<std::uint64_t> buckets_;  ///< bounds_.size() + 1 (overflow last)

@@ -1,5 +1,6 @@
 #include "stats/timeline.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace hydranet::stats {
@@ -20,7 +21,6 @@ std::string Event::to_string() const {
 
 void EventTimeline::record(sim::TimePoint at, std::string node,
                            std::string kind, std::string detail) {
-  LockGuard lock(record_mu_);
   if (events_.size() >= max_events_) {
     dropped_++;
     return;
@@ -55,6 +55,23 @@ std::vector<Event> EventTimeline::select(const std::string& kind) const {
 void EventTimeline::clear() {
   events_.clear();
   dropped_ = 0;
+}
+
+EventTimeline EventTimeline::merge(
+    const std::vector<const EventTimeline*>& logs) {
+  EventTimeline merged;
+  std::size_t total = 0;
+  for (const EventTimeline* log : logs) total += log->events_.size();
+  merged.events_.reserve(total);
+  for (const EventTimeline* log : logs) {
+    merged.events_.insert(merged.events_.end(), log->events_.begin(),
+                          log->events_.end());
+    merged.dropped_ += log->dropped_;
+  }
+  // Stable: equal instants keep log order, then each log's own order.
+  std::stable_sort(merged.events_.begin(), merged.events_.end(),
+                   [](const Event& a, const Event& b) { return a.at < b.at; });
+  return merged;
 }
 
 }  // namespace hydranet::stats

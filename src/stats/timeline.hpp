@@ -5,6 +5,11 @@
 // The failover sequence crash -> detection -> promotion -> resume becomes a
 // machine-readable artifact: phase durations fall out of first()/
 // first_after() instead of being re-derived from log lines.
+//
+// Each host owns one timeline as its append-only event log, written only
+// by the host's shard, so a timeline has one writer and no lock.  The
+// network-wide timeline is a snapshot: Network::publish_metrics() merge()s
+// the host logs at a quiescent point.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace hydranet::stats {
@@ -48,45 +52,33 @@ class EventTimeline {
   explicit EventTimeline(std::size_t max_events = 100000)
       : max_events_(max_events) {}
 
-  /// Thread-safe: hosts on different shards record concurrently.  Events
-  /// land in emission order per shard; cross-shard interleaving at equal
-  /// timestamps is not deterministic — consumers that compare timelines
-  /// across runs sort by (at, node, kind) first.
+  /// Appends one event; past `max_events` it is counted in dropped()
+  /// instead.  One writer per timeline (a host log's is its host's shard).
   void record(sim::TimePoint at, std::string node, std::string kind,
               std::string detail = {});
 
-  /// Readers run at quiescent points (no shard executing); the accessors
-  /// below deliberately stay lock-free borrows — the engine's final
-  /// barrier provides the happens-before edge, so the analysis exemption
-  /// is sound (DESIGN.md §11).
-  const std::vector<Event>& events() const HN_NO_THREAD_SAFETY_ANALYSIS {
-    return events_;
-  }
-  std::size_t dropped() const HN_NO_THREAD_SAFETY_ANALYSIS {
-    return dropped_;
-  }
+  const std::vector<Event>& events() const { return events_; }
+  std::size_t dropped() const { return dropped_; }
 
   /// First event of `kind`, in emission order.
-  std::optional<Event> first(const std::string& kind) const
-      HN_NO_THREAD_SAFETY_ANALYSIS;
+  std::optional<Event> first(const std::string& kind) const;
   /// First event of `kind` at or after `t`.
-  std::optional<Event> first_after(const std::string& kind, sim::TimePoint t)
-      const HN_NO_THREAD_SAFETY_ANALYSIS;
+  std::optional<Event> first_after(const std::string& kind,
+                                   sim::TimePoint t) const;
   /// All events of `kind`, in emission order.
-  std::vector<Event> select(const std::string& kind) const
-      HN_NO_THREAD_SAFETY_ANALYSIS;
+  std::vector<Event> select(const std::string& kind) const;
 
-  void clear() HN_NO_THREAD_SAFETY_ANALYSIS;
+  void clear();
+
+  /// Every event `logs` kept, ordered by (time, position of its log in
+  /// `logs`, emission order), with their dropped() counts summed.  The
+  /// cap bounds record() only, so the merge loses nothing a log kept.
+  static EventTimeline merge(const std::vector<const EventTimeline*>& logs);
 
  private:
-  /// Serialises record() across shard threads.  hn::Mutex is movable (a
-  /// move constructs a fresh unlocked mutex), so the timeline — and the
-  /// Registry holding it — stays movable without the old heap-allocated
-  /// std::mutex and its pointer chase on every record().
-  mutable Mutex record_mu_;
   std::size_t max_events_;
-  std::vector<Event> events_ HN_GUARDED_BY(record_mu_);
-  std::size_t dropped_ HN_GUARDED_BY(record_mu_) = 0;
+  std::vector<Event> events_;
+  std::size_t dropped_ = 0;
 };
 
 }  // namespace hydranet::stats

@@ -165,8 +165,8 @@ TEST(ShardNetwork, CrossShardTcpTransferIsExact) {
   EXPECT_EQ(single.net.engine().counters_total().mailbox_posted, 0u);
 }
 
-/// One run's reproducible fingerprint: every published counter plus the
-/// time-sorted event timeline.
+/// One run's reproducible fingerprint: the delivered streams' hashes and
+/// every published counter.  The topology records no timeline events.
 std::string run_fingerprint(std::size_t shards, std::uint64_t seed) {
   host::Network net(seed, shards);
   host::Host& a = net.add_host("a", 0);
@@ -238,6 +238,36 @@ TEST(ShardNetwork, RepeatRunsAreDeterministicAtFourShards) {
   EXPECT_EQ(first, second);
   const std::string other_seed = run_fingerprint(4, 78);
   EXPECT_NE(first, other_seed);  // the seed actually reaches the streams
+}
+
+// Each host records into its own log; publishing merges the logs by
+// (time, host creation order, per-host sequence).  Four hosts record at
+// one instant, scheduled in reverse creation order, one host per shard at
+// 4 shards: the published timeline must read a, b, c, d at every shard
+// count, not the scheduling order (1 shard) or the thread order (4).
+TEST(ShardNetwork, SameInstantEventsPublishInHostCreationOrder) {
+  for (std::size_t shards : {1, 2, 4}) {
+    host::Network net(1, shards);
+    std::vector<host::Host*> hosts;
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::string name(1, static_cast<char>('a' + i));
+      hosts.push_back(&net.add_host(name, i % shards));
+    }
+    const TimePoint at{1'000'000};
+    for (auto it = hosts.rbegin(); it != hosts.rend(); ++it) {
+      host::Host* h = *it;
+      net.schedule_on(*h, at, [h] { h->record_event("tie", h->name()); });
+    }
+    net.run();
+    net.publish_metrics();
+
+    std::string order;
+    for (const stats::Event& e : net.metrics().timeline().events()) {
+      EXPECT_EQ(e.at, at);
+      order += e.node;
+    }
+    EXPECT_EQ(order, "abcd") << shards << " shards";
+  }
 }
 
 TEST(ShardNetwork, PlanPartitionBalancesAndRespectsAffinity) {

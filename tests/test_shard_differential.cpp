@@ -2,17 +2,17 @@
 // scenario must produce the same observable run at --shards=1 and
 // --shards=4 — identical delivered byte streams, an identical failover
 // event timeline, and byte-identical span traces and post-mortems (each
-// host's spans live in its own ring, stamped by its own clock).
+// host's spans live in its own ring and its events in its own log, all
+// stamped by its own clock).
 //
 // Conservative synchronisation only reorders execution *between* shards
 // inside an epoch; links are lossless here, so both runs carry the same
 // frames and every cross-host interaction lands at identical virtual
-// times.  The timelines are compared sorted by (time, node, kind,
-// detail): same-instant events on different hosts may be *recorded* in
-// either thread order, which is exactly the freedom the engine has.
+// times.  The timelines are compared exactly as published: the merge of
+// the host logs orders same-instant events by host creation order, not
+// by the thread that recorded them first.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,7 +29,7 @@ struct FailoverRun {
   bool finished = false;
   /// Per-server delivered streams: (bytes, fnv1a) per connection report.
   std::vector<std::string> streams;
-  /// The failover story: every timeline event, time-sorted.
+  /// The failover story: every timeline event, in published order.
   std::vector<std::string> timeline;
   std::uint64_t mailbox_posted = 0;
   std::string spans_jsonl;  ///< trace2::to_spans_jsonl
@@ -107,7 +107,6 @@ FailoverRun run_failover(std::size_t shards) {
          << event.detail;
     run.timeline.push_back(line.str());
   }
-  std::sort(run.timeline.begin(), run.timeline.end());
   run.mailbox_posted = bed.net().engine().counters_total().mailbox_posted;
   run.spans_jsonl = trace2::to_spans_jsonl(recorder);
   run.postmortem = trace2::postmortem_text(&recorder, bed.stats().timeline());

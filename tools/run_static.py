@@ -91,10 +91,6 @@ METRIC_RE = re.compile(
 # Causal-tracer span names: `span.<layer>.<what>` (src/trace2/span.hpp).
 SPAN_RE = re.compile(r"span\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
-# The stats exporter re-imports previously exported snapshots, so metric
-# names flow through it as data, not as declarations.
-METRIC_SCAN_EXCLUDE = {"src/stats/export.cpp"}
-
 # Directories where iterating a std::unordered_map/unordered_set is banned:
 # hash order is implementation-defined, so any side effect sequenced by it
 # (teardown order, retransmit order, gate updates, ack-channel reports)
@@ -271,8 +267,6 @@ def code_names(tree, pattern):
     its first location."""
     names = {}
     for rel, src in tree.files.items():
-        if rel in METRIC_SCAN_EXCLUDE:
-            continue
         for offset, literal in src.strings:
             if pattern.fullmatch(literal):
                 names.setdefault(literal, f"{rel}:{src.line_of(offset)}")
