@@ -8,6 +8,9 @@
 //
 //   - bytes per connection, measured from the server's slab arena
 //     (bytes_reserved / live -- flat memory, no per-connection heap),
+//     and next to it the server's demux state per connection: the
+//     connection table's entry array and the per-slot page-tick
+//     deadlines,
 //   - pending scheduler events (the coalesced per-page timers make this
 //     O(pages), not O(connections)),
 //   - packets per wall second under a mixed load: every connection runs
@@ -54,6 +57,8 @@ struct ScaleResult {
   std::uint64_t arena_live = 0;
   std::uint64_t arena_pages = 0;
   double bytes_per_conn = 0;
+  double demux_bytes_per_conn = 0;     ///< connection table entries
+  double deadline_bytes_per_conn = 0;  ///< page-tick deadline array
   // Process-wide slab + scheduler telemetry at the level.
   std::uint64_t slab_pages = 0;
   std::uint64_t slab_live = 0;
@@ -192,11 +197,15 @@ ScaleResult measure_level(Fixture& bed, std::size_t level) {
   result.arena_bytes = arena.bytes_reserved();
   result.arena_live = arena.live();
   result.arena_pages = arena.page_count();
-  result.bytes_per_conn =
-      result.arena_live > 0
-          ? static_cast<double>(result.arena_bytes) /
-                static_cast<double>(result.arena_live)
-          : 0;
+  auto per_conn = [&result](std::size_t bytes) {
+    return result.arena_live > 0 ? static_cast<double>(bytes) /
+                                       static_cast<double>(result.arena_live)
+                                 : 0;
+  };
+  result.bytes_per_conn = per_conn(result.arena_bytes);
+  result.demux_bytes_per_conn =
+      per_conn(bed.server->tcp().demux_table_bytes());
+  result.deadline_bytes_per_conn = per_conn(bed.server->tcp().deadline_bytes());
   // Whole fleet: every shard's slab block and pending set (the engine is
   // quiescent between runs).
   const SlabCounters slab = slab_totals();
@@ -263,6 +272,10 @@ void write_json(const std::vector<ScaleResult>& results,
     std::fprintf(f, "        \"connections\": %zu,\n", r.connections);
     std::fprintf(f, "        \"accepted\": %zu,\n", r.accepted);
     std::fprintf(f, "        \"bytes_per_conn\": %.1f,\n", r.bytes_per_conn);
+    std::fprintf(f, "        \"demux_bytes_per_conn\": %.1f,\n",
+                 r.demux_bytes_per_conn);
+    std::fprintf(f, "        \"deadline_bytes_per_conn\": %.1f,\n",
+                 r.deadline_bytes_per_conn);
     std::fprintf(f, "        \"arena_bytes\": %llu,\n", u(r.arena_bytes));
     std::fprintf(f, "        \"arena_live\": %llu,\n", u(r.arena_live));
     std::fprintf(f, "        \"arena_pages\": %llu,\n", u(r.arena_pages));
@@ -324,10 +337,11 @@ int main(int argc, char** argv) {
     results.push_back(measure_level(bed, level));
     const ScaleResult& r = results.back();
     std::printf(
-        "%-12s accepted=%zu bytes/conn=%.0f arena=%lluMB pages=%llu "
-        "pending=%llu ramp=%.1fs (%.0f conn/s) mixed=%.0f pkt/s "
-        "keepalives=%llu\n",
-        r.name.c_str(), r.accepted, r.bytes_per_conn,
+        "%-12s accepted=%zu bytes/conn=%.0f (+demux %.0f, deadlines %.0f) "
+        "arena=%lluMB pages=%llu pending=%llu ramp=%.1fs (%.0f conn/s) "
+        "mixed=%.0f pkt/s keepalives=%llu\n",
+        r.name.c_str(), r.accepted, r.bytes_per_conn, r.demux_bytes_per_conn,
+        r.deadline_bytes_per_conn,
         static_cast<unsigned long long>(r.arena_bytes >> 20),
         static_cast<unsigned long long>(r.arena_pages),
         static_cast<unsigned long long>(r.pending_events),

@@ -1,7 +1,13 @@
 // Substrate micro-benchmarks (google-benchmark): wire-format serialisation,
-// checksums, the event scheduler, link rx, and the reassembly buffer — the
-// inner loops every simulated packet passes through.
+// checksums, the event scheduler, link rx, TCP connection demux, and the
+// reassembly buffer — the inner loops every simulated packet passes
+// through.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/packet_buffer.hpp"
@@ -11,6 +17,7 @@
 #include "net/tcp_header.hpp"
 #include "net/tunnel.hpp"
 #include "sim/scheduler.hpp"
+#include "tcp/connection_table.hpp"
 #include "tcp/reassembly.hpp"
 
 namespace {
@@ -192,6 +199,42 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerCancelChurn);
+
+/// Per-segment connection demux: a find in a table of `conns` server-side
+/// connections with bench_connection_scale's key shape (one virtual-host
+/// service; client subnets of 25,000 ephemeral ports each, counting up
+/// from 32768), probed in a shuffled order so each lookup pays the
+/// table's cache misses as the datapath does.  Reports the time per
+/// lookup (`s/lookup`).
+void BM_ConnDemux(benchmark::State& state) {
+  const auto conns = static_cast<std::size_t>(state.range(0));
+  const net::Endpoint service{net::Ipv4Address(192, 20, 225, 20), 80};
+  // The table only stores and null-tests its owning pointers: every entry
+  // shares one token that owns an int (never dereferenced).
+  auto owner = std::make_shared<int>(0);
+  void* at = owner.get();
+  const std::shared_ptr<tcp::TcpConnection> token(
+      owner, static_cast<tcp::TcpConnection*>(at));
+  tcp::ConnectionTable table;
+  std::vector<tcp::ConnectionKey> keys;
+  keys.reserve(conns);
+  for (std::size_t i = 0; i < conns; ++i) {
+    const auto subnet = static_cast<std::uint8_t>(1 + i / 25000);
+    const auto port = static_cast<std::uint16_t>(32768 + i % 25000);
+    keys.push_back({service, {net::Ipv4Address(10, subnet, 0, 2), port}});
+    table.insert(keys.back(), token);
+  }
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(1));
+  for (auto _ : state) {
+    for (const tcp::ConnectionKey& key : keys) {
+      benchmark::DoNotOptimize(table.find(key));
+    }
+  }
+  state.counters["s/lookup"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * conns),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ConnDemux)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 void BM_ReassemblyInOrder(benchmark::State& state) {
   Bytes chunk(1460, 0x77);

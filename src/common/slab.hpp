@@ -101,6 +101,13 @@ class SlabArena {
     return core_->pages.size() * sizeof(Page);
   }
 
+  /// The live object in `slot` (page = slot / kPageSlots).
+  T& at(std::uint32_t slot) const {
+    Page& p = *core_->pages[slot / kPageSlots];
+    assert(p.occupied & (std::uint64_t{1} << (slot % kPageSlots)));
+    return *p.slot_ptr(slot % kPageSlots);
+  }
+
   /// Visits every live object in `page` as fn(T&, slot).
   template <typename Fn>
   void for_each_live_in_page(std::size_t page, Fn&& fn) const {

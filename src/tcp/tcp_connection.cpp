@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "common/logging.hpp"
 #include "tcp/tcp_stack.hpp"
@@ -212,14 +211,14 @@ void TcpConnection::close() {
       if (fin_queued_) return;
       fin_queued_ = true;
       fin_off_ = send_data_base_ + send_data_.size();
-      state_ = TcpState::fin_wait_1;
+      set_state(TcpState::fin_wait_1);
       schedule_output();
       return;
     case TcpState::close_wait:
       if (fin_queued_) return;
       fin_queued_ = true;
       fin_off_ = send_data_base_ + send_data_.size();
-      state_ = TcpState::last_ack;
+      set_state(TcpState::last_ack);
       schedule_output();
       return;
     default:
@@ -239,7 +238,7 @@ void TcpConnection::abort() {
 
 void TcpConnection::start_connect() {
   iss_ = stack_.generate_iss(key_, /*deterministic=*/false);
-  state_ = TcpState::syn_sent;
+  set_state(TcpState::syn_sent);
   snd_una_ = 0;
   snd_nxt_ = 0;
   send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/false, false);
@@ -254,7 +253,7 @@ void TcpConnection::start_passive(std::uint32_t iss,
   irs_ = syn.header.seq;
   peer_mss_ = syn.header.mss_option != 0 ? syn.header.mss_option : 536;
   sack_enabled_ = options_.sack && syn.header.sack_permitted;
-  state_ = TcpState::syn_rcvd;
+  set_state(TcpState::syn_rcvd);
   rcv_nxt_ = 1;  // consumed the peer's SYN (offset 0)
   snd_una_ = 0;
   send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
@@ -268,10 +267,10 @@ void TcpConnection::start_passive(std::uint32_t iss,
 
 void TcpConnection::enter_established() {
   if (state_ == TcpState::established) return;
-  state_ = TcpState::established;
+  set_state(TcpState::established);
   HLOG(debug, kLog) << key_.to_string() << " ESTABLISHED";
   if (options_.keepalive_interval.ns > 0) {
-    last_activity_ = scheduler_.now();
+    note_activity();
     request_page_tick(last_activity_ + options_.keepalive_interval);
   }
   stack_.notify_established(*this);
@@ -280,7 +279,7 @@ void TcpConnection::enter_established() {
 }
 
 void TcpConnection::enter_time_wait() {
-  state_ = TcpState::time_wait;
+  set_state(TcpState::time_wait);
   cancel_rto();
   scheduler_.cancel(time_wait_timer_);
   time_wait_timer_ = scheduler_.schedule_after(
@@ -289,7 +288,7 @@ void TcpConnection::enter_time_wait() {
 
 void TcpConnection::enter_closed(Errc reason) {
   if (state_ == TcpState::closed && closed_notified_) return;
-  state_ = TcpState::closed;
+  set_state(TcpState::closed);
   cancel_rto();
   scheduler_.cancel(probe_timer_);
   probe_timer_ = sim::kInvalidTimer;
@@ -322,7 +321,7 @@ void TcpConnection::notify_writable() {
 void TcpConnection::on_segment(const net::TcpSegment& segment) {
   stats_.segments_received++;
   if (state_ == TcpState::closed) return;
-  last_activity_ = scheduler_.now();  // feeds the keepalive clock
+  note_activity();
 #if HYDRANET_INVARIANTS
   const std::uint64_t rcv_nxt_before = rcv_nxt_;
   const std::uint64_t snd_una_before = snd_una_;
@@ -409,6 +408,10 @@ void TcpConnection::test_deposit_out_of_window(std::size_t len) {
   readable_.append_fill(len, std::uint8_t{0});
   rcv_nxt_ += len;
   check_stream_invariants(rcv_nxt_before, snd_una_);
+}
+
+void TcpConnection::test_forge_page_deadline(sim::TimePoint forged) {
+  stack_.set_page_deadline(slab_slot_, forged);
 }
 #endif
 
@@ -559,7 +562,7 @@ void TcpConnection::process_syn_sent(const net::TcpSegment& segment) {
     output();
   } else {
     // Simultaneous open: both sides sent SYN.
-    state_ = TcpState::syn_rcvd;
+    set_state(TcpState::syn_rcvd);
     send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
     arm_rto();
   }
@@ -741,7 +744,7 @@ void TcpConnection::process_ack(const net::TcpSegment& segment) {
     // Transitions driven by our FIN being acknowledged.
     if (fin_queued_ && snd_una_ > fin_off_) {
       switch (state_) {
-        case TcpState::fin_wait_1: state_ = TcpState::fin_wait_2; break;
+        case TcpState::fin_wait_1: set_state(TcpState::fin_wait_2); break;
         case TcpState::closing: enter_time_wait(); break;
         case TcpState::last_ack: enter_closed(Errc::ok); return;
         default: break;
@@ -884,11 +887,11 @@ void TcpConnection::maybe_consume_fin() {
   ack_pending_ = true;
   switch (state_) {
     case TcpState::established:
-      state_ = TcpState::close_wait;
+      set_state(TcpState::close_wait);
       break;
     case TcpState::fin_wait_1:
       // Our FIN not yet acknowledged (else we'd be in FIN_WAIT_2).
-      state_ = TcpState::closing;
+      set_state(TcpState::closing);
       break;
     case TcpState::fin_wait_2:
       enter_time_wait();
@@ -1056,7 +1059,7 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
   segment.payload = CowBytes::copy_of(payload);
 
   stats_.segments_sent++;
-  last_activity_ = scheduler_.now();  // outbound traffic resets keepalive
+  note_activity();  // outbound traffic resets keepalive
   if (ack) {
     ack_pending_ = false;
     delack_segments_ = 0;
@@ -1135,6 +1138,7 @@ void TcpConnection::arm_rto() {
     // so this connection's RTO still fires at exactly this instant.
     rto_armed_coalesced_ = true;
     rto_deadline_ = scheduler_.now() + rtt_.backed_off_rto(rto_backoff_);
+    refresh_page_deadline();
     request_page_tick(rto_deadline_);
     return;
   }
@@ -1147,6 +1151,7 @@ void TcpConnection::cancel_rto() {
   // finds nothing due (one spurious wakeup per page at worst), which is
   // cheaper than re-deriving the page minimum on every ACK.
   rto_armed_coalesced_ = false;
+  refresh_page_deadline();
   scheduler_.cancel(rto_timer_);
   rto_timer_ = sim::kInvalidTimer;
 }
@@ -1234,17 +1239,13 @@ void TcpConnection::on_probe() {
 
 // ---- coalesced page tick ----------------------------------------------------
 
-namespace {
-constexpr sim::TimePoint kNever{std::numeric_limits<std::int64_t>::max()};
-}
-
 void TcpConnection::request_page_tick(sim::TimePoint when) {
   stack_.request_page_tick(slab_slot_ / SlabArena<TcpConnection>::kPageSlots,
                            when);
 }
 
 sim::TimePoint TcpConnection::page_tick_deadline() const {
-  sim::TimePoint due = kNever;
+  sim::TimePoint due = sim::kTimePointMax;
   if (state_ == TcpState::established && options_.keepalive_interval.ns > 0) {
     due = last_activity_ + options_.keepalive_interval;
   }
@@ -1252,9 +1253,24 @@ sim::TimePoint TcpConnection::page_tick_deadline() const {
   return due;
 }
 
-void TcpConnection::on_page_tick(sim::TimePoint now) {
+void TcpConnection::refresh_page_deadline() {
+  stack_.set_page_deadline(slab_slot_, page_tick_deadline());
+}
+
+void TcpConnection::set_state(TcpState state) {
+  state_ = state;
+  refresh_page_deadline();
+}
+
+void TcpConnection::note_activity() {
+  last_activity_ = scheduler_.now();
+  refresh_page_deadline();
+}
+
+void TcpConnection::on_page_tick(sim::TimePoint now) HN_NONBLOCKING {
   if (rto_armed_coalesced_ && now >= rto_deadline_) {
     rto_armed_coalesced_ = false;
+    refresh_page_deadline();
     on_rto();  // may re-arm, or close the connection
     if (state_ == TcpState::closed) return;
   }

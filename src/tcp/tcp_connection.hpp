@@ -185,6 +185,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Negative-test hook: deposits `len` fabricated bytes past the granted
   /// window, then runs the post-segment stream checks (tcp_stream).
   void test_deposit_out_of_window(std::size_t len);
+  /// Negative-test hook: overwrites this connection's cached page-tick
+  /// deadline with `forged` without touching its inputs — the missed
+  /// rewrite the page tick's sched_order check exists to catch.
+  void test_forge_page_deadline(sim::TimePoint forged);
 #endif
 
  private:
@@ -260,10 +264,17 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // keepalive event: it publishes a deadline and the stack runs one
   // scheduler event per 64-slot slab page.
   /// Earliest instant this connection wants the page tick to visit it
-  /// (TimePoint{INT64_MAX} = never).
+  /// (sim::kTimePointMax = never).  Its inputs are state_, last_activity_
+  /// and the coalesced-RTO fields; whatever writes one of them calls
+  /// refresh_page_deadline(), so the stack's cached copy stays exact.
   sim::TimePoint page_tick_deadline() const;
-  /// Fires whichever coalesced deadlines have passed.
-  void on_page_tick(sim::TimePoint now);
+  void refresh_page_deadline();
+  void set_state(TcpState state);
+  /// Restarts the keepalive clock (a segment moved in either direction).
+  void note_activity();
+  /// Fires whichever coalesced deadlines have passed.  Hot-path effect
+  /// root together with TcpStack::on_page_tick (DESIGN.md §12).
+  void on_page_tick(sim::TimePoint now) HN_NONBLOCKING;
   void send_keepalive_probe();
   void request_page_tick(sim::TimePoint when);
 

@@ -1,11 +1,13 @@
 #include "tcp/tcp_stack.hpp"
 
-#include <limits>
+#include <algorithm>
+#include <utility>
 
 #include "common/effect_annotations.hpp"
 #include "common/logging.hpp"
 #include "trace2/recorder.hpp"
 #include "trace2/span.hpp"
+#include "verify/invariant.hpp"
 
 namespace hydranet::tcp {
 
@@ -48,25 +50,51 @@ void TcpStack::request_page_tick(std::size_t page, sim::TimePoint when) {
       scheduler().schedule_at(when, [this, page] { on_page_tick(page); });
 }
 
-void TcpStack::on_page_tick(std::size_t page) {
+void TcpStack::on_page_tick(std::size_t page) HN_NONBLOCKING {
   PageTick& tick = page_ticks_[page];
   tick.armed = false;
   tick.timer = sim::kInvalidTimer;
   const sim::TimePoint now = scheduler().now();
-  // Connections closed (and deferred for destruction) during the sweep
-  // stay constructed until their teardown event runs, so visiting the
-  // page's occupancy snapshot is safe even when a tick closes connections.
-  arena_.for_each_live_in_page(page, [&](TcpConnection& conn, std::uint32_t) {
-    conn.on_page_tick(now);
-  });
+  const std::size_t first = page * SlabArena<TcpConnection>::kPageSlots;
+  const std::size_t last = first + SlabArena<TcpConnection>::kPageSlots;
+#if HYDRANET_INVARIANTS
+  check_page_deadlines(page);
+#endif
+  // Visit due connections in slot order.  Each entry is read when its
+  // turn comes, so a visit that moves another connection's deadline is
+  // seen.  A vacant slot caches kTimePointMax and is never due; a closed
+  // connection awaiting its deferred teardown stays constructed, so a
+  // visit is safe even when the tick closes connections.
+  for (std::size_t slot = first; slot < last; ++slot) {
+    if (slot_due_[slot] <= now) {
+      arena_.at(static_cast<std::uint32_t>(slot)).on_page_tick(now);
+    }
+  }
+#if HYDRANET_INVARIANTS
+  // Visits can move other connections' deadlines too (a close handler may
+  // close a sibling), and the re-arm below reads them all.
+  check_page_deadlines(page);
+#endif
   // Re-arm at the earliest deadline any connection on the page still wants.
-  constexpr sim::TimePoint kNever{std::numeric_limits<std::int64_t>::max()};
-  sim::TimePoint next = kNever;
-  arena_.for_each_live_in_page(page, [&](TcpConnection& conn, std::uint32_t) {
-    next = std::min(next, conn.page_tick_deadline());
-  });
-  if (next != kNever) request_page_tick(page, next);
+  const sim::TimePoint next =
+      *std::min_element(slot_due_.begin() + static_cast<std::ptrdiff_t>(first),
+                        slot_due_.begin() + static_cast<std::ptrdiff_t>(last));
+  if (next != sim::kTimePointMax) request_page_tick(page, next);
 }
+
+#if HYDRANET_INVARIANTS
+void TcpStack::check_page_deadlines(std::size_t page) const {
+  arena_.for_each_live_in_page(
+      page, [&](TcpConnection& conn, std::uint32_t slot) {
+        HN_INVARIANT(sched_order,
+                     slot_due_[slot] == conn.page_tick_deadline(),
+                     "page tick: slot %u caches deadline %lld, connection "
+                     "wants %lld",
+                     slot, static_cast<long long>(slot_due_[slot].ns),
+                     static_cast<long long>(conn.page_tick_deadline().ns));
+      });
+}
+#endif
 
 Result<TcpListener*> TcpStack::listen(net::Ipv4Address address,
                                       std::uint16_t port,
@@ -109,7 +137,7 @@ Result<std::shared_ptr<TcpConnection>> TcpStack::connect(
 
   ConnectionKey key{net::Endpoint{source, port}, remote};
   auto connection = make_connection(key, options);
-  connections_.emplace(key, connection);
+  connections_.insert(key, connection);
   track_local_port(port, +1);
   connection->start_connect();
   return connection;
@@ -120,6 +148,11 @@ std::shared_ptr<TcpConnection> TcpStack::make_connection(
   std::uint32_t slot = 0;
   auto connection = arena_.create_shared(&slot, *this, key, options);
   connection->slab_slot_ = slot;
+  if (slot >= slot_due_.size()) {
+    slot_due_.resize(arena_.page_count() * SlabArena<TcpConnection>::kPageSlots,
+                     sim::kTimePointMax);
+  }
+  set_page_deadline(slot, connection->page_tick_deadline());
   return connection;
 }
 
@@ -159,8 +192,8 @@ const TcpStack::PortOptions* TcpStack::port_options(std::uint16_t port) const {
 
 std::shared_ptr<TcpConnection> TcpStack::find_connection(
     const ConnectionKey& key) {
-  auto it = connections_.find(key);
-  return it == connections_.end() ? nullptr : it->second;
+  ConnectionTable::Entry* entry = connections_.find(key);
+  return entry == nullptr ? nullptr : entry->connection;
 }
 
 std::uint32_t TcpStack::generate_iss(const ConnectionKey& key,
@@ -171,15 +204,13 @@ std::uint32_t TcpStack::generate_iss(const ConnectionKey& key,
 }
 
 void TcpStack::remove_connection(const ConnectionKey& key) {
-  auto it = connections_.find(key);
-  if (it == connections_.end()) return;
   // Defer destruction to the next event so a connection can finish the
-  // member function that triggered its own removal.
-  std::shared_ptr<TcpConnection> doomed = it->second;
+  // member function that triggered its own removal (segment demux holds
+  // only a reference to it).
+  std::shared_ptr<TcpConnection> doomed = connections_.erase(key);
+  if (doomed == nullptr) return;
   closed_stats_.merge(doomed->stats());
-  connections_.erase(it);
   track_local_port(key.local.port, -1);
-  pending_accepts_.erase(key);
   // The same deferred event also severs the app callbacks: they routinely
   // capture the connection's own shared_ptr, and that cycle would pin the
   // slab slot long after teardown.
@@ -190,20 +221,19 @@ void TcpStack::remove_connection(const ConnectionKey& key) {
 TcpConnection::Stats TcpStack::aggregate_stats() const {
   TcpConnection::Stats total = closed_stats_;
   // hn-unordered-iter-ok: order-independent — stat merge is commutative
-  for (const auto& [key, connection] : connections_) {
-    total.merge(connection->stats());
+  for (const ConnectionTable::Entry& entry : connections_) {
+    total.merge(entry.connection->stats());
   }
   return total;
 }
 
 void TcpStack::notify_established(TcpConnection& connection) {
-  auto it = pending_accepts_.find(connection.key());
-  if (it == pending_accepts_.end()) return;
-  TcpListener* listener = it->second;
-  pending_accepts_.erase(it);
-  if (listener->handler_) {
-    listener->handler_(find_connection(connection.key()));
-  }
+  ConnectionTable::Entry* entry = connections_.find(connection.key());
+  if (entry == nullptr || entry->pending_accept == nullptr) return;
+  TcpListener* listener = std::exchange(entry->pending_accept, nullptr);
+  // A copy: the handler may open connections and move the table's entries.
+  std::shared_ptr<TcpConnection> accepted = entry->connection;
+  if (listener->handler_) listener->handler_(std::move(accepted));
 }
 
 void TcpStack::remove_listener(const net::Endpoint& endpoint) {
@@ -228,13 +258,9 @@ void TcpStack::remove_listener(const net::Endpoint& endpoint) {
   if (removed == nullptr) return;
 
   // Orphan any connections still waiting to be accepted on this listener.
-  // hn-unordered-iter-ok: order-independent — erase-only sweep, no effects
-  for (auto it = pending_accepts_.begin(); it != pending_accepts_.end();) {
-    if (it->second == removed.get()) {
-      it = pending_accepts_.erase(it);
-    } else {
-      ++it;
-    }
+  // hn-unordered-iter-ok: order-independent — clears fields, no effects
+  for (ConnectionTable::Entry& entry : connections_) {
+    if (entry.pending_accept == removed.get()) entry.pending_accept = nullptr;
   }
 }
 
@@ -282,7 +308,11 @@ void TcpStack::on_segment_datagram(const net::Ipv4Header& header,
   ConnectionKey key{net::Endpoint{header.dst, segment.header.dst_port},
                     net::Endpoint{header.src, segment.header.src_port}};
 
-  if (auto connection = find_connection(key)) {
+  if (ConnectionTable::Entry* entry = connections_.find(key)) {
+    // A reference, not a shared_ptr copy: a connection that closes while
+    // handling the segment leaves the table, but remove_connection keeps
+    // it alive until the next event.
+    TcpConnection& connection = *entry->connection;
     // Input span: this node processed an inbound segment.  The parent is
     // the sender's segmentize (or redirector copy) span, delivered as the
     // ambient context by the IP demux; everything the connection does in
@@ -292,7 +322,7 @@ void TcpStack::on_segment_datagram(const net::Ipv4Header& header,
     sim::TimePoint span_start = scheduler().now();
     {
       trace2::ScopedCtx ctx(span);
-      connection->on_segment(segment);  // local shared_ptr keeps it alive
+      connection.on_segment(segment);
     }
     trace2::commit(ip_.trace_ring(), span, parent, trace2::span::kTcpInput,
                    span_start,
@@ -313,9 +343,8 @@ void TcpStack::on_segment_datagram(const net::Ipv4Header& header,
       if (port_opts != nullptr && port_opts->hooks != nullptr) {
         connection->set_hooks(port_opts->hooks);
       }
-      connections_.emplace(key, connection);
+      connections_.insert(key, connection, listener);
       track_local_port(key.local.port, +1);
-      pending_accepts_.emplace(key, listener);
       connection->start_passive(iss, segment);
       return;
     }

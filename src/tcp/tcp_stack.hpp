@@ -14,6 +14,7 @@
 #include "common/thread_annotations.hpp"
 #include "ip/ip_stack.hpp"
 #include "net/address.hpp"
+#include "tcp/connection_table.hpp"
 #include "tcp/tcp_connection.hpp"
 #include "tcp/tcp_types.hpp"
 
@@ -102,6 +103,15 @@ class TcpStack {
 
   std::shared_ptr<TcpConnection> find_connection(const ConnectionKey& key);
   std::size_t connection_count() const { return connections_.size(); }
+  /// Bytes of the per-connection demux state: the connection table's entry
+  /// array and the per-slot page-tick deadlines (bench_connection_scale
+  /// reports both next to the slab's bytes per connection).
+  std::size_t demux_table_bytes() const {
+    return connections_.bytes_reserved();
+  }
+  std::size_t deadline_bytes() const {
+    return slot_due_.size() * sizeof(sim::TimePoint);
+  }
 
   /// The slab arena all of this stack's connections live in (flat-memory
   /// accounting for bench_connection_scale; page iteration for the
@@ -133,6 +143,12 @@ class TcpStack {
   /// page (keepalives always; RTOs under TcpOptions::coalesce_timers), so
   /// idle connections cost O(pages) timing-wheel entries, not O(conns).
   void request_page_tick(std::size_t page, sim::TimePoint when);
+  /// Records the page_tick_deadline() of the connection in `slot`.  The
+  /// connection calls this whenever an input of that deadline changes, so
+  /// a page tick visits exactly the connections that are due.
+  void set_page_deadline(std::uint32_t slot, sim::TimePoint due) {
+    slot_due_[slot] = due;
+  }
 
  private:
   /// All listeners sharing one port: the usual case is a single wildcard
@@ -167,26 +183,35 @@ class TcpStack {
     sim::TimePoint deadline{};
     bool armed = false;
   };
-  HN_SHARD_AFFINE void on_page_tick(std::size_t page);
+  /// Hot-path effect root (DESIGN.md §12): one dense scan of the page's
+  /// 64 cached deadlines, visiting only the connections that are due.
+  HN_SHARD_AFFINE void on_page_tick(std::size_t page) HN_NONBLOCKING;
+#if HYDRANET_INVARIANTS
+  /// sched_order: every live slot's cached deadline is its connection's
+  /// page_tick_deadline() (the tick trusts the cache to pick whom to
+  /// visit and when to come back).
+  void check_page_deadlines(std::size_t page) const;
+#endif
 
   ip::IpStack& ip_;
   Rng rng_;
   IssGenerator iss_generator_;
   SlabArena<TcpConnection> arena_;
-  std::unordered_map<ConnectionKey, std::shared_ptr<TcpConnection>,
-                     ConnectionKeyHash>
-      connections_;
+  /// Demux by 4-tuple; an entry also names the listener a passive open
+  /// still awaits its accept callback from.
+  ConnectionTable connections_;
   std::unordered_map<std::uint16_t, PortListeners> listeners_;
   std::unordered_map<std::uint16_t, PortOptions> port_options_;
-  // Connections awaiting their accept callback, keyed by connection.
-  std::unordered_map<ConnectionKey, TcpListener*, ConnectionKeyHash>
-      pending_accepts_;
   /// Live connections per local port (all of them, not just ephemeral:
   /// also steers allocation away from service ports in the range).
   std::unordered_map<std::uint16_t, std::uint32_t> local_port_refs_;
   TcpConnection::Stats closed_stats_;  ///< summed from removed connections
   stats::Histogram cwnd_hist_{stats::cwnd_buckets()};
   std::vector<PageTick> page_ticks_;  ///< indexed by arena page
+  /// page_tick_deadline() of the connection in each arena slot.  A
+  /// connection's last rewrite, on close, leaves sim::kTimePointMax, so a
+  /// vacated slot is never due.  Grows a page at a time with the arena.
+  std::vector<sim::TimePoint> slot_due_;
   std::uint16_t next_ephemeral_ = 32768;
 };
 

@@ -48,11 +48,23 @@ struct ConnectionKey {
   }
 };
 
+/// Full 64-bit mix of the 4-tuple: both addresses and both ports reach
+/// every output bit, so a power-of-two table can take its home slot from
+/// the low bits (TcpStack's ConnectionTable does).  Client fleets differ
+/// in a few address bits and count their ephemeral ports up from the same
+/// base; a hash that only shifted and XORed the fields would pile such
+/// keys onto a few home slots.
 struct ConnectionKeyHash {
   std::size_t operator()(const ConnectionKey& k) const {
-    std::size_t h1 = std::hash<net::Endpoint>{}(k.local);
-    std::size_t h2 = std::hash<net::Endpoint>{}(k.remote);
-    return h1 * 1000003 ^ h2;
+    std::uint64_t x =
+        (static_cast<std::uint64_t>(k.local.address.value()) << 32) |
+        k.remote.address.value();
+    x ^= ((static_cast<std::uint64_t>(k.local.port) << 16) | k.remote.port) *
+         0x9e3779b97f4a7c15ull;
+    // SplitMix64 finaliser.
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<std::size_t>(x ^ (x >> 31));
   }
 };
 

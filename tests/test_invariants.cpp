@@ -381,6 +381,26 @@ TEST_F(InvariantTest, OutOfWindowDepositFiresTcpStream) {
   EXPECT_EQ(collector.count(Category::tcp_stream), 1u);
 }
 
+TEST_F(InvariantTest, StalePageDeadlineFiresSchedOrder) {
+  testutil::Pair pair;
+  testutil::ByteSinkServer server(pair.b, ip(10, 0, 0, 2), 7000);
+  tcp::TcpOptions options;
+  options.keepalive_interval = sim::seconds(1);
+  auto client = pair.a.tcp().connect(net::Ipv4Address(),
+                                     {ip(10, 0, 0, 2), 7000}, options);
+  ASSERT_TRUE(client.ok());
+  pair.net.run_for(sim::milliseconds(500));
+  ASSERT_EQ(client.value()->state(), tcp::TcpState::established);
+
+  ScopedCollector collector;
+  // A missed rewrite: the page's cache says "never" while the keepalive
+  // clock runs, so the next page tick would skip a due connection.
+  client.value()->test_forge_page_deadline(sim::kTimePointMax);
+  pair.net.run_for(sim::seconds(1));
+  // The tick checks its cache before the scan and again before re-arming.
+  EXPECT_EQ(collector.count(Category::sched_order), 2u);
+}
+
 TEST_F(InvariantTest, CleanFtTransferAndFailoverReportZeroViolations) {
   // No collector: a violation would hit the abort sink and fail loudly.
   FtFixture fx(2, /*seed=*/51);

@@ -1,6 +1,7 @@
 // TCP edge cases: sequence-number wrap-around, half-close, concurrent
-// accepts, connection reaping, backpressure, early writes, aborts,
-// zero-window probing, listener teardown.
+// accepts, connection reaping, backpressure, early writes, aborts (incl. a
+// reset whose close handler drops the last reference), zero-window
+// probing, listener teardown.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
@@ -320,6 +321,42 @@ TEST(TcpEdge, PeerAbortMidTransferSurfacesAsReset) {
   pair.net.run_for(sim::seconds(2));
   EXPECT_EQ(reason, Errc::connection_reset);
   EXPECT_EQ(conn->state(), TcpState::closed);
+}
+
+// Segment demux hands the connection a plain reference, not an owning
+// copy.  An inbound RST whose close handler drops the application's last
+// shared_ptr must leave the connection alive until the segment is fully
+// handled (the stack defers the release by one event); under the
+// asan-ubsan preset a use-after-free here fails the test.
+TEST(TcpEdge, ResetWhoseCloseHandlerDropsTheLastReferenceIsSafe) {
+  Pair pair;
+  std::shared_ptr<TcpConnection> server_conn;
+  Errc reason = Errc::ok;
+  ASSERT_TRUE(pair.b.tcp()
+                  .listen(net::Ipv4Address(), 80,
+                          [&](std::shared_ptr<TcpConnection> c) {
+                            server_conn = std::move(c);
+                            server_conn->set_on_closed([&](Errc e) {
+                              reason = e;
+                              server_conn.reset();
+                            });
+                          })
+                  .ok());
+  auto client = pair.a.tcp().connect(net::Ipv4Address(),
+                                     {ip(10, 0, 0, 2), 80});
+  ASSERT_TRUE(client.ok());
+  pair.net.run_for(sim::milliseconds(100));
+  ASSERT_NE(server_conn, nullptr);
+  ASSERT_EQ(server_conn->state(), TcpState::established);
+  const std::size_t live_before = pair.b.tcp().arena().live();
+
+  client.value()->abort();  // the RST reaches the server's demux
+  pair.net.run_for(sim::milliseconds(100));
+  EXPECT_EQ(reason, Errc::connection_reset);
+  EXPECT_EQ(server_conn, nullptr);
+  EXPECT_EQ(pair.b.tcp().connection_count(), 0u);
+  // The deferred release ran and returned the slot to the arena.
+  EXPECT_EQ(pair.b.tcp().arena().live(), live_before - 1);
 }
 
 TEST(TcpEdge, ZeroWindowProbesAreCountedAndRecovered) {

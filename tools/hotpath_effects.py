@@ -100,6 +100,13 @@ EFFECT_ROOTS = [
     # TCP header prediction incl. the cached deposit-gate compare (PR 3).
     ("try_fast_path", ("src/tcp/tcp_connection.hpp",
                        "src/tcp/tcp_connection.cpp"), NONBLOCK),
+    # Per-segment connection demux: one probe of the flat table.
+    ("find", ("src/tcp/connection_table.hpp",), NONBLOCK),
+    # Coalesced page tick: the stack's dense scan of the page's cached
+    # deadlines and each due connection's visit (keepalive or RTO).
+    ("on_page_tick", ("src/tcp/tcp_stack.hpp", "src/tcp/tcp_stack.cpp",
+                      "src/tcp/tcp_connection.hpp",
+                      "src/tcp/tcp_connection.cpp"), NONBLOCK),
     # SIMD internet checksum (PR 7).
     ("internet_checksum", ("src/common/bytes.hpp",
                            "src/common/bytes.cpp"), NONBLOCK),
@@ -154,6 +161,12 @@ CONTRACT_BOUNDARIES = {
     # per-packet costs are gated by the packet-path benchmarks, not by the
     # TCP fast-path contract.
     "send": "TCP -> IP hand-off: lower layers own their effect budget",
+    # Connection teardown: a page tick reaches it only when a connection
+    # exhausts its retransmissions, once per connection lifetime.  Folding
+    # the connection's counters into the stack and deferring its release
+    # are the lifecycle path's own budget, like on_connection_closed.
+    "remove_connection": "connection lifecycle: teardown, once per "
+                         "connection",
 }
 
 # Container-method names never traversed as callees (flagged at the call

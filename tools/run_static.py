@@ -91,8 +91,10 @@ METRIC_RE = re.compile(
 # Causal-tracer span names: `span.<layer>.<what>` (src/trace2/span.hpp).
 SPAN_RE = re.compile(r"span\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
-# Directories where iterating a std::unordered_map/unordered_set is banned:
-# hash order is implementation-defined, so any side effect sequenced by it
+# Directories where iterating a hash-ordered container is banned: the
+# std::unordered_map/unordered_set family and the TCP stack's
+# open-addressing ConnectionTable (src/tcp/connection_table.hpp).  Hash
+# order is implementation-defined, so any side effect sequenced by it
 # (teardown order, retransmit order, gate updates, ack-channel reports)
 # silently varies across standard libraries and breaks the simulator's
 # determinism contract.  The sanctioned idioms are (a) collect the keys and
@@ -101,10 +103,13 @@ SPAN_RE = re.compile(r"span\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
 # (or the line above it) with a non-empty justification.
 UNORDERED_ITER_DIRS = ("src/sim/", "src/tcp/", "src/ftcp/", "src/redirector/")
 UNORDERED_ITER_OK = re.compile(r"//\s*hn-unordered-iter-ok:\s*(\S.*)?$")
-UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set)\s*<")
-# The declared name after the template argument list; a field's trailing
-# annotations (`guarded_ HN_GUARDED_BY(mu_);`) may sit between it and the
-# terminator.
+# A declaration: a std template's argument list opens at the trailing `<`;
+# ConnectionTable is not a template, so its name follows the type directly.
+UNORDERED_DECL_RE = re.compile(
+    r"\bunordered_(?:map|set)\s*<|\bConnectionTable\b")
+# The declared name after the template argument list (or after the
+# ConnectionTable type); a field's trailing annotations
+# (`guarded_ HN_GUARDED_BY(mu_);`) may sit between it and the terminator.
 UNORDERED_NAME_RE = re.compile(r"\s*(\w+)\s*(?:HN_\w+\s*\([^)]*\)\s*)*[;{=]")
 
 # Types whose storage is owned by SlabArena (src/common/slab.hpp): direct
@@ -293,8 +298,10 @@ def unordered_iteration_findings(tree):
     declared = {}
     for rel, src in tree.files.items():
         for match in UNORDERED_DECL_RE.finditer(src.code):
-            close = source_scan.match_bracket(src.code, match.end() - 1)
-            name = close > 0 and UNORDERED_NAME_RE.match(src.code, close + 1)
+            end = match.end()
+            if src.code[end - 1] == "<":
+                end = source_scan.match_bracket(src.code, end - 1) + 1
+            name = end > 0 and UNORDERED_NAME_RE.match(src.code, end)
             if name:
                 declared.setdefault(rel, set()).add(name.group(1))
     in_headers = set().union(*(names for rel, names in declared.items()
