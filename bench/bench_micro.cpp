@@ -200,6 +200,41 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelChurn);
 
+/// Steady-state dispatch with `live` events pending.  Each iteration
+/// cancels a random far-future timer and re-arms it (the RTO pattern),
+/// schedules a short-lived event (a link timer) and runs the next due
+/// event.  Live sets of 32 and 128 fit the staging buffer; 512 and 4,096
+/// overflow into the wheel, as tcp_conn_scale does.  Reports the time per
+/// executed event (`s/event`), churn included.
+void BM_SchedulerLiveSet(benchmark::State& state) {
+  const auto live = static_cast<std::size_t>(state.range(0));
+  sim::Scheduler scheduler;
+  std::mt19937_64 rng(1);
+  // 1-2 s: re-armed long before it could expire at ~5 us per iteration.
+  auto rto = [&rng] {
+    return sim::microseconds(1'000'000 +
+                             static_cast<std::int64_t>(rng() % 1'000'000));
+  };
+  std::vector<sim::TimerId> timers;
+  for (std::size_t i = 0; i < live; ++i) {
+    timers.push_back(scheduler.schedule_after(rto(), [] {}));
+  }
+  std::int64_t executed = 0;
+  for (auto _ : state) {
+    sim::TimerId& timer = timers[rng() % live];
+    scheduler.cancel(timer);
+    timer = scheduler.schedule_after(rto(), [] {});
+    scheduler.schedule_after(
+        sim::microseconds(1 + static_cast<std::int64_t>(rng() % 10)), [] {});
+    executed += scheduler.run_next() ? 1 : 0;
+    benchmark::DoNotOptimize(executed);
+  }
+  state.counters["s/event"] = benchmark::Counter(
+      static_cast<double>(executed),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SchedulerLiveSet)->Arg(32)->Arg(128)->Arg(512)->Arg(4096);
+
 /// Per-segment connection demux: a find in a table of `conns` server-side
 /// connections with bench_connection_scale's key shape (one virtual-host
 /// service; client subnets of 25,000 ephemeral ports each, counting up

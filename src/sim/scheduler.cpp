@@ -115,8 +115,7 @@ void Scheduler::cascade(int level, std::uint32_t slot_index) {
   // into this bucket — iterating in place is safe.
   for (std::size_t i = b.drained; i < b.entries.size(); ++i) {
     const QEntry& entry = b.entries[i];
-    const Slot& slot = slots_[entry.slot];
-    if (!slot.armed || slot.generation != entry.generation) continue;
+    if (stale(entry)) continue;
     assert(level_for(static_cast<std::uint64_t>(entry.time.ns)) < level);
     wheel_insert(entry);
     wheel_cascades_++;
@@ -124,26 +123,34 @@ void Scheduler::cascade(int level, std::uint32_t slot_index) {
   reset_bucket(level, slot_index);
 }
 
-void Scheduler::flush_staging() {
-  // Entries cancelled while staged are simply dropped here — their slots
-  // were already recycled by cancel().  Live entries keep their original
-  // seq; flushing in time order may interleave seqs within a bucket, which
-  // wheel_insert flags (`unsorted`) for a one-time sort before drain.
-  for (std::size_t i = staging_head_; i < staging_.size(); ++i) {
-    const QEntry& entry = staging_[i];
-    const Slot& slot = slots_[entry.slot];
-    if (!slot.armed || slot.generation != entry.generation) continue;
-    wheel_insert(entry);
-  }
-  staging_.clear();
-  staging_head_ = 0;
+void Scheduler::make_staging_room() {
+  // Compaction first: the stale entries' slots were already recycled by
+  // cancel(), so dropping them only closes the gaps.  The survivors keep
+  // their order, and spill into the wheel only if every entry was live.
+  staging_.erase(
+      std::remove_if(staging_.begin(), staging_.end(),
+                     [this](const QEntry& entry) { return stale(entry); }),
+      staging_.end());
+  if (staging_.size() >= kStagingCap) flush_staging();
 }
 
-void Scheduler::execute_staging(std::size_t index) {
-  const QEntry entry = staging_[index];
-  // Consume before running the callback: it may schedule (inserting into
+void Scheduler::flush_staging() {
+  // Back to front is (time, seq) ascending, so same-time entries reach
+  // their level-0 bucket in seq order, behind everything already there
+  // (wheel seqs are lower): a bucket draining right now, when a callback
+  // overflowed the buffer, stays sorted past its cursor.  Stale entries
+  // are dropped — cancel() already recycled their slots.
+  for (auto it = staging_.rbegin(); it != staging_.rend(); ++it) {
+    if (!stale(*it)) wheel_insert(*it);
+  }
+  staging_.clear();
+}
+
+void Scheduler::execute_staging() {
+  const QEntry entry = staging_.back();
+  // Pop before running the callback: it may schedule (inserting into
   // staging_) or trigger a flush re-entrantly.
-  staging_head_ = index + 1;
+  staging_.pop_back();
   Slot& slot = slots_[entry.slot];
   now_ = entry.time;
 #if HYDRANET_INVARIANTS
@@ -208,24 +215,17 @@ Scheduler::NextDue Scheduler::find_next_due() {
       best.slot = slot_index;
     }
   }
-  // The staging buffer is sorted by (time, seq): its minimum is the first
-  // live entry at the head (stale cancelled entries pop lazily).  Staging
+  // The staging buffer is sorted by (time, seq) descending: its minimum is
+  // the back entry once stale (cancelled) ones are popped.  Staging
   // entries all have higher seqs than anything in the wheel, so strict <
   // resolves same-time ties wheel-first — exact global FIFO.
-  while (staging_head_ < staging_.size()) {
-    const QEntry& entry = staging_[staging_head_];
-    const Slot& slot = slots_[entry.slot];
-    if (!slot.armed || slot.generation != entry.generation) {
-      ++staging_head_;
-      continue;
-    }
-    if (best.level < 0 || entry.time.ns < best.time) {
-      best.time = entry.time.ns;
-      best.level = 0;
-      best.slot = 0;
-      best.staging_index = static_cast<int>(staging_head_);
-    }
-    break;
+  while (!staging_.empty() && stale(staging_.back())) staging_.pop_back();
+  if (!staging_.empty() &&
+      (best.level < 0 || staging_.back().time.ns < best.time)) {
+    best.time = staging_.back().time.ns;
+    best.level = 0;
+    best.slot = 0;
+    best.staging = true;
   }
   return best;
 }
@@ -249,8 +249,8 @@ std::size_t Scheduler::drain_due_bucket(std::uint32_t slot_index,
   // of entries.size() each iteration.
   while (b.drained < b.entries.size()) {
     const QEntry entry = b.entries[b.drained++];
+    if (stale(entry)) continue;
     Slot& slot = slots_[entry.slot];
-    if (!slot.armed || slot.generation != entry.generation) continue;
     now_ = entry.time;
 #if HYDRANET_INVARIANTS
     HN_EFFECT_ESCAPE(
@@ -282,37 +282,31 @@ TimerId Scheduler::schedule_at(TimePoint t, Callback cb) HN_NONBLOCKING {
   assert(cb);
   if (t < now_) t = now_;  // clamp: "immediately" for past deadlines
   if (staging_.size() >= kStagingCap) {
-    // Reclaim the consumed prefix first: only when more than kStagingCap
-    // events are genuinely pending does the overflow spill into the wheel.
-    if (staging_head_ > 0) {
-      staging_.erase(staging_.begin(),
-                     staging_.begin() +
-                         static_cast<std::ptrdiff_t>(staging_head_));
-      staging_head_ = 0;
-    }
     HN_EFFECT_ESCAPE(
-        "staging-buffer spill: flush_staging moves entries into wheel "
-        "buckets, whose one-time growth is sanctioned at the insert site")
-    if (staging_.size() >= kStagingCap) flush_staging();
+        "full staging buffer: compaction erases in place within the "
+        "reserved capacity; a spill moves entries into wheel buckets, whose "
+        "one-time growth is sanctioned at the insert site")
+    make_staging_room();
     HN_EFFECT_ESCAPE_END()
   }
   std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.cb = std::move(cb);
   slot.armed = true;
-  // Keep staging sorted by (time, seq): this entry has the highest seq so
-  // far, so it goes after every existing entry with the same time.
+  // Keep staging sorted by (time, seq) descending: this entry has the
+  // highest seq so far, so it goes behind every entry due later and in
+  // front of every entry due at or before t (only those shift).
   const QEntry entry{t, next_seq_++, index, slot.generation};
   HN_EFFECT_ESCAPE(
       "staging capacity is pinned at kStagingCap and reserved at "
-      "construction: push_back/insert below never reallocate")
-  if (staging_.empty() || !(t.ns < staging_.back().time.ns)) {
-    staging_.push_back(entry);  // common case: at-or-after the latest time
+      "construction, and a full buffer was emptied above: push_back/insert "
+      "below never reallocate")
+  if (staging_.empty() || t.ns < staging_.back().time.ns) {
+    staging_.push_back(entry);  // due before everything staged
   } else {
-    auto it = std::upper_bound(
-        staging_.begin() + static_cast<std::ptrdiff_t>(staging_head_),
-        staging_.end(), t.ns,
-        [](std::int64_t time, const QEntry& e) { return time < e.time.ns; });
+    auto it = std::partition_point(
+        staging_.begin(), staging_.end(),
+        [t](const QEntry& e) { return e.time.ns > t.ns; });
     staging_.insert(it, entry);
   }
   HN_EFFECT_ESCAPE_END()
@@ -340,8 +334,8 @@ bool Scheduler::run_next() HN_NONBLOCKING {
     const NextDue due = find_next_due();
     assert(due.level >= 0);
     if (due.level < 0) return false;  // unreachable while live_ > 0
-    if (due.staging_index >= 0) {
-      execute_staging(static_cast<std::size_t>(due.staging_index));
+    if (due.staging) {
+      execute_staging();
       return true;
     }
     if (due.level > 0) {
@@ -356,14 +350,20 @@ bool Scheduler::run_next() HN_NONBLOCKING {
 }
 
 std::size_t Scheduler::run_until(TimePoint t) HN_NONBLOCKING {
+  const std::size_t executed = run_through(t);
+  if (now_ < t) now_ = t;
+  return executed;
+}
+
+std::size_t Scheduler::run_through(TimePoint t) HN_NONBLOCKING {
   std::size_t executed = 0;
   while (live_ > 0) {
     const NextDue due = find_next_due();
     assert(due.level >= 0);
     if (due.level < 0) break;
     if (due.time > t.ns) break;
-    if (due.staging_index >= 0) {
-      execute_staging(static_cast<std::size_t>(due.staging_index));
+    if (due.staging) {
+      execute_staging();
       ++executed;
       continue;
     }
@@ -374,7 +374,6 @@ std::size_t Scheduler::run_until(TimePoint t) HN_NONBLOCKING {
     }
     executed += drain_due_bucket(due.slot, /*single_step=*/false);
   }
-  if (now_ < t) now_ = t;
   return executed;
 }
 

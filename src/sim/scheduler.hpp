@@ -15,8 +15,8 @@
 // the next ACK): a binary heap pays O(log n) twice per such event, the
 // wheel pays two integer writes.  When the clock crosses a bucket boundary
 // the bucket's surviving entries cascade to their exact lower level; an
-// entry cascades at most 10 times, and only events that outlive the
-// staging buffer (below) ever enter a bucket at all, so the whole wheel
+// entry cascades at most 10 times, and events enter a bucket only while
+// more are live than the staging buffer (below) holds, so the whole wheel
 // stays a cache-friendly 22 KiB.  Slot occupancy is a bitmap per level
 // plus a level-occupancy mask, so locating the next occupied bucket is a
 // handful of bit-scans — and free when the wheel is empty.
@@ -26,15 +26,23 @@
 // cascades before a same-time level-0 event executes, so an event scheduled
 // earlier can never be overtaken by one scheduled later at the same tick.
 //
-// A small staging buffer front-ends the wheel: new events park in a
-// 64-entry contiguous vector and only flush into their wheel buckets when
-// it fills.  Most simulator events are short-lived — a link serialisation
-// timer fires (or an RTO is cancelled) long before 64 more events are
-// scheduled — so the common case executes straight out of one or two
-// cache lines and never touches wheel memory.  Ordering is unaffected:
-// every wheel entry was scheduled before every staging entry (flush moves
-// the whole buffer at once), so wheel seqs are strictly lower and
-// same-time ties resolve wheel-first, which is exactly global FIFO.
+// A staging buffer front-ends the wheel: new events park in a contiguous
+// vector of kStagingCap (256) entries, reserved at construction and kept
+// sorted by (time, seq) descending, so the next event to fire sits at the
+// back.  Dispatch pops it off the back, and a near-future schedule shifts
+// only the entries due sooner than itself.  Cancelled entries stay where
+// they are (cancel() already recycled their slots) until they reach the
+// back or the buffer fills.  A full buffer first compacts them out and
+// spills into the wheel only if it is still full, i.e. when more than 256
+// events are genuinely pending.  The capacity sits above the peak live
+// sets the benchmark workloads hold: udp_ft_fanout at most 8,
+// ttcp_ft_sessions at most 125 and udp_fleet_2shard at most 213 per shard,
+// so those runs never place an event in a bucket.  tcp_conn_scale peaks
+// at 5,091 live events and runs on the wheel.  Ordering is unaffected: every
+// wheel entry was scheduled before every staging entry (a spill moves the
+// whole buffer at once; compaction moves nothing into the wheel), so wheel
+// seqs are strictly lower and same-time ties resolve wheel-first, which is
+// exactly global FIFO.
 //
 // The hot path is allocation-free in steady state: callbacks are
 // small-buffer-optimised (InlineFunction, no per-event malloc for typical
@@ -63,6 +71,12 @@ class Scheduler {
   /// heap and are counted in inline_function_heap_allocs().
   using Callback = InlineFunction<128>;
 
+  /// Entries the staging buffer holds before it compacts out cancelled
+  /// ones or spills into the wheel: above every benchmark workload's
+  /// measured peak live set except tcp_conn_scale's (see the header
+  /// comment).  A constant, not a knob.
+  static constexpr std::size_t kStagingCap = 256;
+
   Scheduler();
 
   /// Current simulated time.  Advances only when events execute.
@@ -90,6 +104,13 @@ class Scheduler {
   /// Returns the number of events executed.
   std::size_t run_until(TimePoint t) HN_NONBLOCKING;
 
+  /// run_until without the final clock advance: runs all events with time
+  /// <= t and leaves the clock where the last of them (or a bucket cascade
+  /// on the way to the next pending one) left it.  The sharded engine's
+  /// drain epochs use it, so a complete drain ends at the latest executed
+  /// event rather than at an epoch boundary.
+  std::size_t run_through(TimePoint t) HN_NONBLOCKING;
+
   /// Runs events for the next `d` of simulated time.
   std::size_t run_for(Duration d) { return run_until(now_ + d); }
 
@@ -101,13 +122,13 @@ class Scheduler {
   std::size_t pending() const { return live_; }
 
   /// Lower bound on the time of the next event this scheduler would
-  /// execute: the earliest of the staging head, a due level-0 bucket, or
+  /// execute: the earliest of the staging back, a due level-0 bucket, or
   /// a higher-level bucket's cascade boundary.  A cascade boundary may
   /// precede the actual event inside it, so this is a bound, not the
   /// exact time — which is exactly what conservative-lookahead epoch
   /// advancement needs.  Returns kTimePointMax when nothing is pending.
   /// Non-const for the same reason as find_next_due (lazily pops
-  /// cancelled staging heads).
+  /// cancelled entries off the staging back).
   TimePoint next_due_lower_bound();
 
   /// Timing-wheel telemetry.  `wheel_inserts` counts every bucket
@@ -136,7 +157,6 @@ class Scheduler {
   /// 11 levels of 6 bits cover bit 62 — any non-negative int64 deadline.
   static constexpr int kLevels = 11;
   static constexpr int kSlotWords = (kWheelSlots + 63) / 64;
-  static constexpr std::size_t kStagingCap = 64;
 
   struct Slot {
     Callback cb;
@@ -173,15 +193,15 @@ class Scheduler {
     std::uint64_t words[kSlotWords] = {};
   };
 
-  /// The next event source the clock must visit: a staging-buffer entry
-  /// (staging_index >= 0), a level-0 bucket whose events are due at
+  /// The next event source the clock must visit: the staging buffer's
+  /// back entry (`staging`), a level-0 bucket whose events are due at
   /// `time`, or a higher-level bucket whose boundary is crossed at `time`
   /// and must cascade.  level < 0 means nothing pending.
   struct NextDue {
     std::int64_t time = 0;
     int level = -1;
     std::uint32_t slot = 0;
-    int staging_index = -1;
+    bool staging = false;
   };
 
   std::uint32_t acquire_slot();
@@ -190,11 +210,21 @@ class Scheduler {
     return (static_cast<TimerId>(slot) + 1) << 32 | generation;
   }
 
+  /// True when `entry`'s event was cancelled (or already fired): its slot
+  /// was recycled, so the entry is skipped wherever it is found.
+  bool stale(const QEntry& entry) const {
+    const Slot& slot = slots_[entry.slot];
+    return !slot.armed || slot.generation != entry.generation;
+  }
+  /// Makes room in a full staging buffer: drops its stale entries and, if
+  /// it is still full, moves the rest into their wheel buckets.
+  void make_staging_room();
   /// Moves live staging entries into their wheel buckets; drops stale
   /// (cancelled) ones.
   void flush_staging();
-  /// Executes the staging entry at `index`, advancing the clock.
-  void execute_staging(std::size_t index);
+  /// Pops the staging buffer's back entry and executes it, advancing the
+  /// clock.
+  void execute_staging();
 
   Bucket& bucket(int level, std::uint32_t slot_index) {
     return wheel_[static_cast<std::size_t>(level) * kWheelSlots + slot_index];
@@ -205,7 +235,7 @@ class Scheduler {
   void reset_bucket(int level, std::uint32_t slot_index);
   /// First occupied slot of `level` at or after `pos`, or -1.
   int find_first_occupied(int level, std::uint32_t pos) const;
-  /// Non-const: lazily pops stale entries off the staging buffer's head.
+  /// Non-const: lazily pops stale entries off the staging buffer's back.
   NextDue find_next_due();
   /// Drains due level-0 bucket `slot_index`, executing live entries in seq
   /// order.  Stops after one execution if `single_step` (run_next
@@ -226,11 +256,11 @@ class Scheduler {
   /// is zero (events living and dying in staging) find_next_due skips the
   /// wheel entirely.
   std::uint32_t level_mask_ = 0;
-  /// Not-yet-bucketed recent schedules, sorted by (time, seq); entries
-  /// before staging_head_ were consumed and await the next flush's clear.
-  /// May contain stale (cancelled) entries, dropped lazily.
+  /// Not-yet-bucketed recent schedules, sorted by (time, seq) descending:
+  /// the next-due entry is at the back.  Reserved to kStagingCap at
+  /// construction and never grown past it.  May contain stale (cancelled)
+  /// entries, popped off the back or compacted out when the buffer fills.
   std::vector<QEntry> staging_;
-  std::size_t staging_head_ = 0;
   std::uint64_t wheel_inserts_ = 0;
   std::uint64_t wheel_cascades_ = 0;
 #if HYDRANET_INVARIANTS

@@ -82,7 +82,7 @@ std::size_t ShardEngine::drain_inboxes(std::size_t shard) HN_NONBLOCKING {
     for (Message& msg : mb) {
       // Conservative-sync safety: a message may never land in the
       // receiver's past.  (Lookahead guarantees at >= epoch_end; the
-      // receiver's clock is exactly the last epoch_end.)
+      // receiver's clock is at most the last epoch_end.)
       assert(msg.at >= sched.now());
       sched.schedule_at(msg.at, std::move(msg.cb));
       ++drained;
@@ -124,12 +124,16 @@ void ShardEngine::participate(std::size_t shard, Job job) {
     if (decision.finished) break;
     counters_[shard].epochs++;
     std::size_t ran;
-    if (job.drain_mode && decision.epoch_end == kTimePointMax) {
+    if (!job.drain_mode) {
+      ran = sched.run_until(decision.epoch_end);
+    } else if (decision.epoch_end == kTimePointMax) {
       // No cross-shard links: drain to empty without teleporting the
       // clock to the sentinel.
       ran = sched.run(job.max_events);
     } else {
-      ran = sched.run_until(decision.epoch_end);
+      // The clock stays at this shard's latest event, not the epoch
+      // boundary, so the drain can end where one shard would (settle_clocks).
+      ran = sched.run_through(decision.epoch_end);
     }
     executed_[shard] += ran;
     counters_[shard].events += ran;
@@ -174,9 +178,22 @@ std::size_t ShardEngine::start_job(Job job) {
   job_cv_.notify_all();
   participate(0, job);
   running_ = false;
+  if (job.drain_mode) settle_clocks();
   std::size_t total = 0;
   for (std::size_t e : executed_) total += e;
   return total;
+}
+
+void ShardEngine::settle_clocks() {
+  // Every worker passed the final barrier and no longer touches its
+  // scheduler; that barrier orders their writes before these reads.
+  TimePoint latest{};
+  for (const auto& sched : schedulers_) {
+    if (sched->pending() > 0) return;  // the watchdog stopped the drain
+    latest = std::max(latest, sched->now());
+  }
+  // Every queue is empty, so this only moves the lagging clocks.
+  for (const auto& sched : schedulers_) sched->run_until(latest);
 }
 
 std::size_t ShardEngine::run_until(TimePoint t) {

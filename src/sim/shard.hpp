@@ -13,9 +13,11 @@
 //   2. reduce (barrier): the last arriver computes the global lower bound
 //      LBTS = min over shards, and the epoch boundary
 //      epoch_end = min(target, LBTS + W);
-//   3. run: every shard executes run_until(epoch_end) concurrently.
-//      Cross-shard Link::transmit posts a timestamped callback into the
-//      destination shard's mailbox instead of its own wheel;
+//   3. run: every shard executes run_until(epoch_end) concurrently
+//      (run_through in drain mode, which leaves the clock at the shard's
+//      latest event).  Cross-shard Link::transmit posts a timestamped
+//      callback into the destination shard's mailbox instead of its own
+//      wheel;
 //   4. barrier: all posts complete before anyone drains again.
 //
 // Safety: any event executed during an epoch has time >= LBTS, so any
@@ -102,8 +104,10 @@ class ShardEngine {
 
   /// Runs until every shard's queue and every mailbox drains, or about
   /// `max_events` total events executed (livelock watchdog, checked at
-  /// epoch boundaries).  Clocks end equal across shards, at the last
-  /// epoch boundary.  Returns total events executed.
+  /// epoch boundaries).  A complete drain leaves every shard's clock at
+  /// the latest event any shard executed, which is what one shard reads
+  /// after the same drain; a drain the watchdog stops leaves each shard's
+  /// clock at its own latest event.  Returns total events executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
   const Counters& counters(std::size_t shard) const {
@@ -198,6 +202,9 @@ class ShardEngine {
   Job job_ HN_GUARDED_BY(job_mu_);
 
   std::size_t start_job(Job job);
+  /// After a drain-mode job, main thread only: if every queue is empty,
+  /// moves every shard's clock to the latest one.
+  void settle_clocks();
 
   // ---- barrier + per-round coordinator state -----------------------------
   Mutex barrier_mu_;

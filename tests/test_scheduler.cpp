@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event scheduler.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -124,6 +125,37 @@ TEST(Time, ArithmeticAndComparisons) {
   EXPECT_EQ(seconds(2).ns, 2000000000);
   EXPECT_DOUBLE_EQ(seconds(3).seconds(), 3.0);
   EXPECT_EQ(seconds_f(0.5).ns, 500000000);
+}
+
+/// Holds `live` far-future timers and, `steps` times, cancels a random one
+/// and re-arms it next to a short-lived event that fires at once (the RTO
+/// plus link-timer pattern).  The cancelled entry is rarely the next due,
+/// so it stays behind in the staging buffer.  Returns the wheel's bucket
+/// placements.
+std::uint64_t wheel_inserts_holding(std::size_t live, int steps) {
+  Scheduler s;
+  std::mt19937_64 rng(1);
+  std::vector<TimerId> timers;
+  for (std::size_t i = 0; i < live; ++i) {
+    timers.push_back(s.schedule_after(seconds(1), [] {}));
+  }
+  for (int step = 0; step < steps; ++step) {
+    TimerId& timer = timers[rng() % live];
+    s.cancel(timer);
+    timer = s.schedule_after(seconds(1), [] {});
+    s.schedule_after(microseconds(1), [] {});
+    s.run_until(s.now() + microseconds(1));
+  }
+  EXPECT_EQ(s.pending(), live);
+  return s.wheel_inserts();
+}
+
+// A live set below the staging capacity never reaches a bucket however
+// many cancelled entries the churn leaves behind: a full buffer compacts
+// them out instead of spilling.  Above the capacity the wheel takes over.
+TEST(Scheduler, LiveSetBelowStagingCapacityNeverTouchesTheWheel) {
+  EXPECT_EQ(wheel_inserts_holding(Scheduler::kStagingCap - 16, 20000), 0u);
+  EXPECT_GT(wheel_inserts_holding(Scheduler::kStagingCap + 16, 20000), 0u);
 }
 
 }  // namespace

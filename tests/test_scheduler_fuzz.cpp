@@ -3,13 +3,18 @@
 // pre-generated operation stream (schedule with a delta mixture that
 // stresses bucket boundaries, cancel of live and already-fired timers,
 // run_until, run_next); the firing logs, clock, and pending counts must
-// match exactly — including FIFO order among equal deadlines.
+// match exactly — including FIFO order among equal deadlines.  Further
+// streams schedule and cancel from inside callbacks, and hold an RTO-style
+// live set on both sides of the staging buffer's capacity; all of them
+// check that next_due_lower_bound() never passes the next event to fire,
+// the bound the sharded engine's epochs rest on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <queue>
 #include <random>
 #include <unordered_map>
@@ -43,6 +48,13 @@ class ReferenceScheduler {
   bool is_live(std::uint64_t seq) const { return live_.contains(seq); }
   std::size_t pending() const { return live_.size(); }
   std::int64_t now() const { return now_; }
+
+  /// Time of the next event to fire, if any.
+  std::optional<std::int64_t> next_time() {
+    skip_dead();
+    if (heap_.empty()) return std::nullopt;
+    return heap_.top().time;
+  }
 
   bool run_next(std::vector<Firing>& log) {
     skip_dead();
@@ -88,6 +100,19 @@ class ReferenceScheduler {
   std::int64_t now_ = 0;
 };
 
+/// next_due_lower_bound() must sit between the clock and the next event to
+/// fire (kTimePointMax when nothing is pending).
+void expect_lower_bound_holds(Scheduler& real, ReferenceScheduler& ref) {
+  const TimePoint bound = real.next_due_lower_bound();
+  const std::optional<std::int64_t> next = ref.next_time();
+  if (!next) {
+    EXPECT_EQ(bound, kTimePointMax);
+    return;
+  }
+  EXPECT_LE(bound.ns, *next) << "bound passes the next event";
+  EXPECT_GE(bound.ns, real.now().ns) << "bound precedes the clock";
+}
+
 /// Delta mixture designed to hit the wheel where it hurts: zero delays
 /// (same-tick FIFO), small deltas (level 0), values straddling the 64^k
 /// bucket boundaries (cascade paths), and far-future deltas (high levels).
@@ -132,6 +157,7 @@ void fuzz_one_seed(std::uint64_t seed, int ops) {
   std::int64_t sticky_time = -1;  // reused deadline to pile up equal times
 
   for (int op = 0; op < ops; ++op) {
+    expect_lower_bound_holds(real, ref);
     std::uint64_t dice = rng() % 100;
     if (dice < 55) {
       // Schedule.  One in four reuses the previous absolute deadline so
@@ -261,6 +287,190 @@ TEST(SchedulerFuzz, SelfReschedulingChainAdvancesExactly) {
   }
   EXPECT_EQ(static_cast<std::uint64_t>(s.now().ns), expect);
   EXPECT_EQ(s.pending(), 0u);
+}
+
+/// Drives the scheduler and the reference in lockstep for streams whose
+/// callbacks schedule and cancel re-entrantly.  Every schedule and cancel
+/// goes to both models, and each firing is checked against the reference
+/// the moment it happens, before its callback touches either model; every
+/// step first checks next_due_lower_bound().
+class Lockstep {
+ public:
+  /// Runs inside the firing's callback, after the check.
+  using Action = std::function<void()>;
+
+  std::int64_t now() const { return real_.now().ns; }
+  std::size_t pending() const { return ref_.pending(); }
+  const Scheduler& real() const { return real_; }
+
+  /// Schedules at absolute time `when` (clamped to now) on both models;
+  /// returns the event's seq.
+  std::uint64_t schedule(std::int64_t when, Action then = {}) {
+    when = std::max(when, now());
+    const std::uint64_t seq = ids_.size();
+    ids_.push_back(real_.schedule_at(
+        TimePoint{when}, [this, seq, then = std::move(then)] {
+          fired(seq);
+          if (then) then();
+        }));
+    ref_.schedule(when, seq, seq);
+    return seq;
+  }
+
+  void cancel(std::uint64_t seq) {
+    real_.cancel(ids_[seq]);
+    ref_.cancel(seq);
+  }
+
+  bool run_next() {
+    expect_lower_bound_holds(real_, ref_);
+    const bool ran = real_.run_next();
+    if (!ran) {
+      EXPECT_EQ(ref_.pending(), 0u) << "scheduler ran dry early";
+    }
+    EXPECT_EQ(real_.pending(), ref_.pending());
+    return ran;
+  }
+
+  void run_until(std::int64_t t) {
+    expect_lower_bound_holds(real_, ref_);
+    real_.run_until(TimePoint{t});
+    const std::size_t fired = log_.size();
+    ref_.run_until(t, log_);  // its firings all happened through fired()
+    EXPECT_EQ(log_.size(), fired) << "scheduler skipped a due event";
+    EXPECT_EQ(now(), ref_.now());
+    EXPECT_EQ(real_.pending(), ref_.pending());
+  }
+
+  /// Runs both dry; callbacks must stop re-arming first.
+  void drain() {
+    while (run_next() && !::testing::Test::HasFailure()) {
+    }
+  }
+
+ private:
+  void fired(std::uint64_t seq) {
+    ASSERT_TRUE(ref_.run_next(log_)) << "fired " << seq << " past the end";
+    EXPECT_EQ(log_.back().label, seq) << "order diverged";
+    EXPECT_EQ(log_.back().at, now()) << "fire time diverged";
+  }
+
+  Scheduler real_;
+  ReferenceScheduler ref_;
+  std::vector<TimerId> ids_;  // by seq
+  std::vector<Firing> log_;
+};
+
+// Callbacks schedule and cancel re-entrantly while the live set swings
+// across the staging capacity: growth phases schedule more than they
+// retire until 2.5x the capacity is live, shrink phases retire until 32
+// are left.
+TEST(SchedulerFuzz, ReentrantScheduleAndCancelMatchReference) {
+  for (std::uint64_t seed : {5ull, 17ull, 2024ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    Lockstep both;
+    std::vector<std::uint64_t> seqs;  // everything scheduled: cancel picks
+    bool growing = true;
+    bool quiet = false;
+    Lockstep::Action react = [&] {
+      if (quiet) return;
+      if (growing && both.pending() > Scheduler::kStagingCap * 5 / 2) {
+        growing = false;
+      } else if (!growing && both.pending() < 32) {
+        growing = true;
+      }
+      const std::uint64_t schedules = growing ? 1 + rng() % 3 : rng() % 2;
+      for (std::uint64_t i = 0; i < schedules; ++i) {
+        seqs.push_back(both.schedule(both.now() + random_delta(rng), react));
+      }
+      const std::uint64_t cancels = growing ? rng() % 2 : rng() % 3;
+      for (std::uint64_t i = 0; i < cancels; ++i) {
+        both.cancel(seqs[rng() % seqs.size()]);
+      }
+    };
+    for (int i = 0; i < 64; ++i) {
+      seqs.push_back(both.schedule(random_delta(rng), react));
+    }
+    for (int step = 0; step < 20000 && !HasFailure(); ++step) {
+      if (rng() % 8 == 0) {
+        both.run_until(both.now() + static_cast<std::int64_t>(rng() % 256));
+      } else if (!both.run_next()) {
+        seqs.push_back(both.schedule(both.now() + random_delta(rng), react));
+      }
+    }
+    EXPECT_GT(both.real().wheel_inserts(), 0u) << "never left the buffer";
+    quiet = true;
+    both.drain();
+    EXPECT_EQ(both.real().pending(), 0u);
+  }
+}
+
+// The FT chain's retransmission-timer pattern: each step cancels one
+// connection's RTO and re-arms it far ahead, and so does each short-lived
+// link event when it fires, while the open connections ramp between 32 and
+// twice the staging capacity.  Every re-arm leaves a cancelled entry
+// behind, and some RTOs expire and re-arm themselves from their own
+// callback.
+TEST(SchedulerFuzz, RtoRearmStreamAcrossStagingCapacityMatchesReference) {
+  constexpr std::size_t kFew = 32;
+  constexpr std::size_t kMany = 2 * Scheduler::kStagingCap;
+  std::mt19937_64 rng(11);
+  Lockstep both;
+  std::vector<std::uint64_t> armed;  // by connection id: its RTO's seq
+  std::vector<std::size_t> open;     // ids of the open connections
+  bool closing = false;
+  int expired = 0;
+  std::function<void(std::size_t)> arm = [&](std::size_t conn) {
+    const auto rto = static_cast<std::int64_t>(1'000'000 + rng() % 2'000'000);
+    armed[conn] = both.schedule(both.now() + rto, [&, conn] {
+      ++expired;
+      if (!closing) arm(conn);
+    });
+  };
+  auto rearm_one = [&] {
+    const std::size_t conn = open[rng() % open.size()];
+    both.cancel(armed[conn]);
+    arm(conn);
+  };
+  for (std::size_t conn = 0; conn < kFew; ++conn) {
+    open.push_back(conn);
+    armed.push_back(0);
+    arm(conn);
+  }
+  bool growing = true;
+  for (int step = 0; step < 30000 && !HasFailure(); ++step) {
+    if (growing) {
+      open.push_back(armed.size());
+      armed.push_back(0);
+      arm(open.back());
+      growing = open.size() < kMany;
+    } else {
+      const std::size_t pick = rng() % open.size();
+      both.cancel(armed[open[pick]]);
+      open[pick] = open.back();
+      open.pop_back();
+      growing = open.size() <= kFew;
+    }
+    // An ACK in flight: its arrival re-arms some connection's RTO.
+    both.schedule(both.now() + 1'000 + static_cast<std::int64_t>(rng() % 9'000),
+                  [&] {
+                    if (!closing) rearm_one();
+                  });
+    rearm_one();
+    if (step % 4 == 0) {
+      both.run_next();
+    } else {
+      both.run_until(both.now() + 5'000);
+    }
+    ASSERT_GE(both.pending(), kFew);
+    ASSERT_LE(both.pending(), kMany + 8);
+  }
+  EXPECT_GT(both.real().wheel_inserts(), 0u) << "never left the buffer";
+  EXPECT_GT(expired, 0) << "no RTO ever expired";
+  closing = true;
+  both.drain();
+  EXPECT_EQ(both.real().pending(), 0u);
 }
 
 }  // namespace

@@ -50,6 +50,27 @@ TEST(ShardEngine, RunUntilAdvancesEveryShardClockExactly) {
   }
 }
 
+// A complete drain leaves every clock at the latest executed event, as one
+// shard does, not at the last epoch boundary up to one lookahead later:
+// a post at 1,000 ns makes an event at 51,007 ns, and the clocks read
+// 51,007 ns after run() at any shard count.
+TEST(ShardEngine, CompleteDrainEndsAtTheLatestEventAtAnyShardCount) {
+  for (std::size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardEngine engine({.shards = shards});
+    const Duration w = microseconds(50);
+    engine.observe_cross_shard_latency(w);
+    const std::size_t last = shards - 1;
+    engine.scheduler(0).schedule_at(TimePoint{1'000}, [&engine, last, w] {
+      engine.post(0, last, engine.scheduler(0).now() + w + Duration{7}, [] {});
+    });
+    EXPECT_EQ(engine.run(), 2u);
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(engine.scheduler(s).now(), TimePoint{51'007}) << "shard " << s;
+    }
+  }
+}
+
 // A cross-shard message may never land in its receiver's past, and must
 // execute at exactly its timestamp.
 TEST(ShardEngine, CrossShardPostsExecuteAtTheirTimestamp) {

@@ -97,6 +97,8 @@ EFFECT_ROOTS = [
      NONBLOCK),
     ("run_until", ("src/sim/scheduler.hpp", "src/sim/scheduler.cpp"),
      NONBLOCK),
+    ("run_through", ("src/sim/scheduler.hpp", "src/sim/scheduler.cpp"),
+     NONBLOCK),
     # TCP header prediction incl. the cached deposit-gate compare (PR 3).
     ("try_fast_path", ("src/tcp/tcp_connection.hpp",
                        "src/tcp/tcp_connection.cpp"), NONBLOCK),
