@@ -204,8 +204,8 @@ BENCHMARK(BM_SchedulerCancelChurn);
 /// cancels a random far-future timer and re-arms it (the RTO pattern),
 /// schedules a short-lived event (a link timer) and runs the next due
 /// event.  Live sets of 32 and 128 fit the staging buffer; 512 and 4,096
-/// overflow into the wheel, as tcp_conn_scale does.  Reports the time per
-/// executed event (`s/event`), churn included.
+/// spill into the heap behind it, as tcp_conn_scale does.  Reports the
+/// time per executed event (`s/event`), churn included.
 void BM_SchedulerLiveSet(benchmark::State& state) {
   const auto live = static_cast<std::size_t>(state.range(0));
   sim::Scheduler scheduler;

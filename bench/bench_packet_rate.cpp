@@ -2,8 +2,7 @@
 // packets per second of wall-clock time the simulator pushes through (a) a
 // plain one-hop path, (b) a scaled redirect, (c) a fault-tolerant fan-out
 // to several backups, and (d) TCP bulk transfers (plain and ft-TCP chain)
-// that exercise the header-prediction fast path and the timing-wheel
-// scheduler.
+// that exercise the header-prediction fast path and the scheduler.
 //
 // Unlike the google-benchmark binaries this is a plain scenario runner so
 // it can emit machine-readable results:
@@ -62,9 +61,9 @@ struct ScenarioResult {
   /// copied_bytes the pre-zero-copy datapath would have spent duplicating
   /// the inner frame into every tunnel copy (inner wire size x copies).
   std::uint64_t naive_fanout_copy_bytes = 0;
-  // Timing-wheel telemetry (deltas over the scenario).
+  // Scheduler telemetry (delta over the scenario): entries spilled from
+  // the staging buffer into the heap.
   std::uint64_t wheel_inserts = 0;
-  std::uint64_t wheel_cascades = 0;
   // TCP fast-path telemetry (zero for the UDP scenarios).
   std::uint64_t fastpath_hits = 0;
   std::uint64_t fastpath_misses = 0;
@@ -148,7 +147,6 @@ ScenarioResult run_scenario(const std::string& name, int backups,
   reset_datapath_counters();
   const std::uint64_t heap_before = inline_function_heap_allocs();
   const std::uint64_t inserts_before = net.scheduler().wheel_inserts();
-  const std::uint64_t cascades_before = net.scheduler().wheel_cascades();
   const auto wall_start = std::chrono::steady_clock::now();
   const sim::TimePoint sim_start = net.now();
   for (std::size_t i = 0; i < packets; ++i) {
@@ -174,7 +172,6 @@ ScenarioResult run_scenario(const std::string& name, int backups,
   result.scheduler_heap_fallbacks =
       inline_function_heap_allocs() - heap_before;
   result.wheel_inserts = net.scheduler().wheel_inserts() - inserts_before;
-  result.wheel_cascades = net.scheduler().wheel_cascades() - cascades_before;
   if (redirector != nullptr) {
     result.redirected = redirector->stats().redirected_datagrams;
     result.copies_sent = redirector->stats().copies_sent;
@@ -231,7 +228,6 @@ ScenarioResult run_tcp_scenario(const std::string& name, int backups,
   reset_datapath_counters();
   const std::uint64_t heap_before = inline_function_heap_allocs();
   const std::uint64_t inserts_before = bed.net().scheduler().wheel_inserts();
-  const std::uint64_t cascades_before = bed.net().scheduler().wheel_cascades();
   const auto wall_start = std::chrono::steady_clock::now();
   const sim::TimePoint sim_start = bed.net().now();
 
@@ -266,8 +262,6 @@ ScenarioResult run_tcp_scenario(const std::string& name, int backups,
   result.pool_misses = dp.pool_misses;
   result.scheduler_heap_fallbacks = inline_function_heap_allocs() - heap_before;
   result.wheel_inserts = bed.net().scheduler().wheel_inserts() - inserts_before;
-  result.wheel_cascades =
-      bed.net().scheduler().wheel_cascades() - cascades_before;
   if (recorder != nullptr) result.spans_recorded = recorder->spans_recorded();
   if (!transmitter.report().finished) {
     std::fprintf(stderr, "warning: %s did not finish\n", name.c_str());
@@ -490,10 +484,8 @@ void write_json(const std::vector<ScenarioResult>& results,
                  static_cast<unsigned long long>(r.scheduler_heap_fallbacks));
     std::fprintf(f, "      },\n");
     std::fprintf(f, "      \"scheduler\": {\n");
-    std::fprintf(f, "        \"wheel_inserts\": %llu,\n",
+    std::fprintf(f, "        \"wheel_inserts\": %llu\n",
                  static_cast<unsigned long long>(r.wheel_inserts));
-    std::fprintf(f, "        \"wheel_cascades\": %llu\n",
-                 static_cast<unsigned long long>(r.wheel_cascades));
     std::fprintf(f, "      },\n");
     std::fprintf(f, "      \"trace\": {\n");
     std::fprintf(f, "        \"sample_every\": %zu,\n", r.trace_sample);
@@ -582,7 +574,7 @@ int main(int argc, char** argv) {
         "%-22s replicas=%d packets=%zu wall=%.3fs rate=%.0f pkt/s "
         "copied=%lluB (naive fan-out would copy %lluB) "
         "inner_serializations=%llu sched_heap=%llu "
-        "wheel=%llu/%llu fastpath=%.1f%% gate_cached=%llu"
+        "wheel=%llu fastpath=%.1f%% gate_cached=%llu"
         "%s\n",
         r.name.c_str(), r.replicas, r.packets, r.wall_seconds,
         r.packets_per_wall_second,
@@ -591,7 +583,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.inner_serializations),
         static_cast<unsigned long long>(r.scheduler_heap_fallbacks),
         static_cast<unsigned long long>(r.wheel_inserts),
-        static_cast<unsigned long long>(r.wheel_cascades),
         100.0 * r.fastpath_hit_rate(),
         static_cast<unsigned long long>(r.gate_cached_checks),
         r.trace_sample > 0

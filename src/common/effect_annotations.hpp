@@ -37,8 +37,8 @@
 // The deliberate escape hatch is the HN_EFFECT_ESCAPE(...) /
 // HN_EFFECT_ESCAPE_END() region:
 // a sanctioned cold-path effect inside a hot function — the slab arena
-// growing a page, the scheduler's staging buffer spilling into wheel
-// buckets, event-callback dispatch (the callee is outside the scheduler's
+// growing a page, the scheduler's staging buffer spilling into its
+// heap, event-callback dispatch (the callee is outside the scheduler's
 // own contract) — is wrapped in a region whose mandatory justification
 // string names *why* the effect cannot erode the warm path.  Both
 // enforcement layers honour the region: under Clang it suppresses

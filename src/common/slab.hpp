@@ -6,7 +6,7 @@
 // a million connections cost pages, not a million mallocs.  The page
 // structure is also what the TCP stack's coalesced timers key off: one
 // scheduler event serves a whole page (64 connections), which is how a
-// million idle connections occupy O(pages) timing-wheel entries.
+// million idle connections occupy O(pages) scheduler entries.
 //
 // Objects are handed out as shared_ptr/unique_ptr whose deleter holds a
 // reference to the arena core, so a deferred destruction (the scheduler's

@@ -238,14 +238,10 @@ void Network::publish_metrics() {
   metrics_.set_counter("scheduler", "scheduler.batch.bursts", batch.bursts);
   metrics_.set_counter("scheduler", "scheduler.batch.packets", batch.packets);
   std::uint64_t wheel_inserts = 0;
-  std::uint64_t wheel_cascades = 0;
   for (std::size_t s = 0; s < engine_->shards(); ++s) {
     wheel_inserts += engine_->scheduler(s).wheel_inserts();
-    wheel_cascades += engine_->scheduler(s).wheel_cascades();
   }
   metrics_.set_counter("scheduler", "scheduler.wheel.inserts", wheel_inserts);
-  metrics_.set_counter("scheduler", "scheduler.wheel.cascades",
-                       wheel_cascades);
   // Shard-engine telemetry (all shards summed; see DESIGN.md §10).
   const sim::ShardEngine::Counters shard = engine_->counters_total();
   metrics_.set_counter("shard", "shard.events", shard.events);

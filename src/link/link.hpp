@@ -4,8 +4,8 @@
 // A link may span two shards of the sharded engine (bind_shards): each
 // direction's tx-side state (drop-tail queue, transmitter, loss draw) then
 // lives on the transmitting host's shard, and delivery crosses to the
-// receiving shard as a timestamped mailbox post instead of a same-wheel
-// schedule.  Same-shard links (and everything at --shards=1) take exactly
+// receiving shard as a timestamped mailbox post instead of a
+// same-scheduler schedule.  Same-shard links (and everything at --shards=1) take exactly
 // the legacy single-scheduler path.
 #pragma once
 

@@ -56,7 +56,7 @@ void ShardEngine::post(std::size_t from, std::size_t to, TimePoint at,
                        Scheduler::Callback cb) HN_NONBLOCKING {
   if (!running_ || from == to) {
     // Engine idle (topology building, between-run injection) or local:
-    // straight onto the destination wheel.
+    // straight onto the destination scheduler.
     schedulers_[to]->schedule_at(at, std::move(cb));
     return;
   }
@@ -100,7 +100,7 @@ void ShardEngine::participate(std::size_t shard, Job job) {
     // Drain phase: producers are quiescent (they sit between the post-run
     // barrier of the previous round and this round's reduce barrier).
     drain_inboxes(shard);
-    next_due_[shard] = sched.next_due_lower_bound();
+    next_due_[shard] = sched.next_due();
     const Decision decision = barrier([&](Decision& d) {
       TimePoint lbts = kTimePointMax;
       for (TimePoint due : next_due_) lbts = std::min(lbts, due);

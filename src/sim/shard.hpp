@@ -2,14 +2,14 @@
 // execution (see DESIGN.md §10).
 //
 // The network is partitioned into N shards.  Each shard owns a disjoint
-// set of hosts, a Scheduler (its own hierarchical timing wheel and clock),
+// set of hosts, a Scheduler (its own event queue and clock),
 // and a run loop on a dedicated thread (shard 0 runs on the caller's
 // thread).  Shards advance in lockstep epochs bounded by conservative
 // lookahead W = the minimum cross-shard link propagation delay:
 //
 //   1. drain: each shard empties its inbound mailboxes (in fixed source-
-//      shard order, for determinism) into its scheduler, then reports a
-//      lower bound on its next event time;
+//      shard order, for determinism) into its scheduler, then reports
+//      its exact next event time;
 //   2. reduce (barrier): the last arriver computes the global lower bound
 //      LBTS = min over shards, and the epoch boundary
 //      epoch_end = min(target, LBTS + W);
@@ -17,7 +17,7 @@
 //      (run_through in drain mode, which leaves the clock at the shard's
 //      latest event).  Cross-shard Link::transmit posts a timestamped
 //      callback into the destination shard's mailbox instead of its own
-//      wheel;
+//      scheduler;
 //   4. barrier: all posts complete before anyone drains again.
 //
 // Safety: any event executed during an epoch has time >= LBTS, so any
@@ -182,7 +182,7 @@ class ShardEngine {
   /// ever touched with the lock held.
   void participate(std::size_t shard, Job job);
   /// Hot-path effect root (DESIGN.md §12): moves messages from the plain
-  /// mailbox vectors onto the shard's wheel; producers are quiescent.
+  /// mailbox vectors onto the shard's scheduler; producers are quiescent.
   std::size_t drain_inboxes(std::size_t shard) HN_NONBLOCKING;
   void worker_main(std::size_t shard);
 

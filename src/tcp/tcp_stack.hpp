@@ -141,7 +141,7 @@ class TcpStack {
   /// Coalesced timers: asks for the page's shared tick to fire no later
   /// than `when`.  One scheduler event serves all 64 connections on a slab
   /// page (keepalives always; RTOs under TcpOptions::coalesce_timers), so
-  /// idle connections cost O(pages) timing-wheel entries, not O(conns).
+  /// idle connections cost O(pages) scheduler entries, not O(conns).
   void request_page_tick(std::size_t page, sim::TimePoint when);
   /// Records the page_tick_deadline() of the connection in `slot`.  The
   /// connection calls this whenever an input of that deadline changes, so

@@ -101,7 +101,7 @@ struct TcpOptions {
   /// Keepalive probing: after this much inactivity an ESTABLISHED
   /// connection sends a below-window probe to elicit a peer ACK.  Zero
   /// disables.  Keepalives never get their own scheduler event — they ride
-  /// the per-slab-page coalesced tick (one timing-wheel entry serves 64
+  /// the per-slab-page coalesced tick (one scheduler entry serves 64
   /// connections), so a million idle connections cost O(pages) entries.
   sim::Duration keepalive_interval = sim::Duration{0};
   /// Routes the retransmission timer through the per-page coalesced tick

@@ -130,8 +130,8 @@ TEST(Time, ArithmeticAndComparisons) {
 /// Holds `live` far-future timers and, `steps` times, cancels a random one
 /// and re-arms it next to a short-lived event that fires at once (the RTO
 /// plus link-timer pattern).  The cancelled entry is rarely the next due,
-/// so it stays behind in the staging buffer.  Returns the wheel's bucket
-/// placements.
+/// so it stays behind in the staging buffer.  Returns the entries spilled
+/// into the heap.
 std::uint64_t wheel_inserts_holding(std::size_t live, int steps) {
   Scheduler s;
   std::mt19937_64 rng(1);
@@ -150,10 +150,10 @@ std::uint64_t wheel_inserts_holding(std::size_t live, int steps) {
   return s.wheel_inserts();
 }
 
-// A live set below the staging capacity never reaches a bucket however
+// A live set below the staging capacity never reaches the heap however
 // many cancelled entries the churn leaves behind: a full buffer compacts
-// them out instead of spilling.  Above the capacity the wheel takes over.
-TEST(Scheduler, LiveSetBelowStagingCapacityNeverTouchesTheWheel) {
+// them out instead of spilling.  Above the capacity the heap takes over.
+TEST(Scheduler, LiveSetBelowStagingCapacityNeverSpills) {
   EXPECT_EQ(wheel_inserts_holding(Scheduler::kStagingCap - 16, 20000), 0u);
   EXPECT_GT(wheel_inserts_holding(Scheduler::kStagingCap + 16, 20000), 0u);
 }

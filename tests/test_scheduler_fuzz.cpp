@@ -1,13 +1,19 @@
-// Randomized differential test: the timing-wheel scheduler against a
-// straightforward reference heap.  Both models consume an identical,
-// pre-generated operation stream (schedule with a delta mixture that
-// stresses bucket boundaries, cancel of live and already-fired timers,
-// run_until, run_next); the firing logs, clock, and pending counts must
-// match exactly — including FIFO order among equal deadlines.  Further
-// streams schedule and cancel from inside callbacks, and hold an RTO-style
-// live set on both sides of the staging buffer's capacity; all of them
-// check that next_due_lower_bound() never passes the next event to fire,
-// the bound the sharded engine's epochs rest on.
+// Randomized differential test: the scheduler against a straightforward
+// reference heap.  Both models consume an identical, pre-generated
+// operation stream (schedule with a wide delta mixture, cancel of live and
+// already-fired timers, run_until, run_next); the firing logs, clock, and
+// pending counts must match exactly — including FIFO order among equal
+// deadlines.  Further streams schedule and cancel from inside callbacks,
+// hold an RTO-style live set on both sides of the staging buffer's
+// capacity, and cancel most of a wave of spilled timers; all of them check
+// that next_due() equals the reference's next event time at every step,
+// the time the sharded engine's epochs rest on.
+//
+// The scheduler's own heap is ordered by the same (time, seq) key as the
+// reference, so what these streams exercise is the machinery around it:
+// the sorted staging buffer, its compaction and spills into the heap, the
+// heap's own compaction, the choice between staging back and heap top, and
+// slot generations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +40,7 @@ struct Firing {
 };
 
 /// Reference model: a lazy-deletion min-heap ordered by (time, seq), the
-/// exact semantics the wheel must reproduce.  seq is the global schedule
+/// exact semantics the scheduler must reproduce.  seq is the global schedule
 /// order, shared with the real scheduler because both are driven in
 /// lockstep.
 class ReferenceScheduler {
@@ -100,34 +106,34 @@ class ReferenceScheduler {
   std::int64_t now_ = 0;
 };
 
-/// next_due_lower_bound() must sit between the clock and the next event to
-/// fire (kTimePointMax when nothing is pending).
-void expect_lower_bound_holds(Scheduler& real, ReferenceScheduler& ref) {
-  const TimePoint bound = real.next_due_lower_bound();
+/// next_due() must be exactly the time of the next event to fire
+/// (kTimePointMax when nothing is pending).
+void expect_next_due_exact(Scheduler& real, ReferenceScheduler& ref) {
+  const TimePoint due = real.next_due();
   const std::optional<std::int64_t> next = ref.next_time();
   if (!next) {
-    EXPECT_EQ(bound, kTimePointMax);
+    EXPECT_EQ(due, kTimePointMax);
     return;
   }
-  EXPECT_LE(bound.ns, *next) << "bound passes the next event";
-  EXPECT_GE(bound.ns, real.now().ns) << "bound precedes the clock";
+  EXPECT_EQ(due.ns, *next) << "next_due is not the next event's time";
+  EXPECT_GE(due.ns, real.now().ns) << "next_due precedes the clock";
 }
 
-/// Delta mixture designed to hit the wheel where it hurts: zero delays
-/// (same-tick FIFO), small deltas (level 0), values straddling the 64^k
-/// bucket boundaries (cascade paths), and far-future deltas (high levels).
+/// Delta mixture spanning twelve orders of magnitude: zero delays
+/// (same-tick FIFO), small deltas, values straddling powers of 64 (generic
+/// stress around binary boundaries), mid-range and far-future deltas.
 std::int64_t random_delta(std::mt19937_64& rng) {
   switch (rng() % 8) {
     case 0:
       return 0;  // same tick: FIFO order must hold
     case 1:
     case 2:
-      return static_cast<std::int64_t>(rng() % 64);  // level 0
+      return static_cast<std::int64_t>(rng() % 64);  // near future
     case 3:
     case 4: {
-      // Around a bucket boundary at a random level: 64^k +/- small.
-      int level = 1 + static_cast<int>(rng() % 5);
-      std::int64_t boundary = std::int64_t{1} << (6 * level);
+      // Around a random power of 64: 64^k +/- small.
+      int k = 1 + static_cast<int>(rng() % 5);
+      std::int64_t boundary = std::int64_t{1} << (6 * k);
       std::int64_t jitter = static_cast<std::int64_t>(rng() % 128) - 64;
       return std::max<std::int64_t>(0, boundary + jitter);
     }
@@ -157,7 +163,7 @@ void fuzz_one_seed(std::uint64_t seed, int ops) {
   std::int64_t sticky_time = -1;  // reused deadline to pile up equal times
 
   for (int op = 0; op < ops; ++op) {
-    expect_lower_bound_holds(real, ref);
+    expect_next_due_exact(real, ref);
     std::uint64_t dice = rng() % 100;
     if (dice < 55) {
       // Schedule.  One in four reuses the previous absolute deadline so
@@ -257,11 +263,12 @@ TEST(SchedulerFuzz, EqualTimeStressKeepsFifo) {
   EXPECT_EQ(real.pending(), 0u);
 }
 
-// Timers re-armed from inside callbacks (the RTO pattern) cross bucket
-// boundaries repeatedly; a self-rescheduling chain must tick precisely.
+// Timers re-armed from inside callbacks (the RTO pattern) with periods
+// growing over fifteen orders of magnitude; a self-rescheduling chain must
+// tick precisely.
 TEST(SchedulerFuzz, SelfReschedulingChainAdvancesExactly) {
   // Growing-period recurrence, computed in uint64 and masked to 50 bits so
-  // it crosses many level boundaries without signed overflow.
+  // it spans a wide range of deadlines without signed overflow.
   constexpr auto next_period = [](std::uint64_t p) {
     return (p * 3 + 1) & ((std::uint64_t{1} << 50) - 1);
   };
@@ -293,7 +300,7 @@ TEST(SchedulerFuzz, SelfReschedulingChainAdvancesExactly) {
 /// callbacks schedule and cancel re-entrantly.  Every schedule and cancel
 /// goes to both models, and each firing is checked against the reference
 /// the moment it happens, before its callback touches either model; every
-/// step first checks next_due_lower_bound().
+/// step first checks next_due().
 class Lockstep {
  public:
   /// Runs inside the firing's callback, after the check.
@@ -323,7 +330,7 @@ class Lockstep {
   }
 
   bool run_next() {
-    expect_lower_bound_holds(real_, ref_);
+    expect_next_due_exact(real_, ref_);
     const bool ran = real_.run_next();
     if (!ran) {
       EXPECT_EQ(ref_.pending(), 0u) << "scheduler ran dry early";
@@ -333,7 +340,7 @@ class Lockstep {
   }
 
   void run_until(std::int64_t t) {
-    expect_lower_bound_holds(real_, ref_);
+    expect_next_due_exact(real_, ref_);
     real_.run_until(TimePoint{t});
     const std::size_t fired = log_.size();
     ref_.run_until(t, log_);  // its firings all happened through fired()
@@ -469,6 +476,39 @@ TEST(SchedulerFuzz, RtoRearmStreamAcrossStagingCapacityMatchesReference) {
   EXPECT_GT(both.real().wheel_inserts(), 0u) << "never left the buffer";
   EXPECT_GT(expired, 0) << "no RTO ever expired";
   closing = true;
+  both.drain();
+  EXPECT_EQ(both.real().pending(), 0u);
+}
+
+// A wave of connections opens and mostly closes again: each round
+// schedules four buffers' worth of far-future timers, so the buffer
+// spills into the heap, then cancels about 15 in 16 of them.  The next
+// round's first spill finds the heap holding more than twice the live
+// count, so it drops the heap's cancelled entries and rebuilds the heap
+// before near-future events interleave with the survivors.
+TEST(SchedulerFuzz, MassCancelBehindStagingBufferMatchesReference) {
+  std::mt19937_64 rng(29);
+  Lockstep both;
+  std::vector<std::uint64_t> wave;
+  for (int round = 0; round < 40 && !HasFailure(); ++round) {
+    wave.clear();
+    for (std::size_t i = 0; i < 4 * Scheduler::kStagingCap; ++i) {
+      const auto delay = static_cast<std::int64_t>(rng() % 1'000'000);
+      wave.push_back(both.schedule(both.now() + 1'000'000 + delay));
+    }
+    for (std::uint64_t seq : wave) {
+      if (rng() % 16 != 0) both.cancel(seq);
+    }
+    for (int step = 0; step < 200; ++step) {
+      both.schedule(both.now() + static_cast<std::int64_t>(rng() % 5'000));
+      if (step % 3 == 0) {
+        both.run_until(both.now() + 2'000);
+      } else {
+        both.run_next();
+      }
+    }
+  }
+  EXPECT_GT(both.real().wheel_inserts(), 0u) << "never left the buffer";
   both.drain();
   EXPECT_EQ(both.real().pending(), 0u);
 }

@@ -1,7 +1,7 @@
 // Coalesced per-page timers (DESIGN: one scheduler event serves a whole
 // 64-slot slab page):
 //   - keepalives fire from the page tick and keep idle connections probed,
-//   - many idle keepalive connections occupy O(pages) wheel entries,
+//   - many idle keepalive connections occupy O(pages) scheduler entries,
 //   - coalesced RTOs (TcpOptions::coalesce_timers) recover losses with the
 //     same outcome as per-connection timers,
 //   - pages whose connections want the tick at different instants keep
@@ -78,9 +78,9 @@ TEST(TimerCoalesce, IdleConnectionsCostPagesNotConnections) {
     ASSERT_EQ(conn->state(), TcpState::established);
   }
 
-  // Let the keepalive cadence reach steady state, then look at the wheel:
-  // every pending event must be a page tick (or a stray link event), never
-  // one timer per connection.
+  // Let the keepalive cadence reach steady state, then look at the
+  // scheduler: every pending event must be a page tick (or a stray link
+  // event), never one timer per connection.
   // (The odd duration lands the observation instant off the keepalive
   // cadence, so no probe burst is mid-flight at the measurement.)
   pair.net.run_for(sim::milliseconds(5137));

@@ -34,7 +34,7 @@ What it enforces:
      the first two classes; HN_NONBLOCKING adds the rest.
   3. *sanctioned escapes* — a cold-path effect inside hot code (the slab
      arena growing a page, the scheduler's staging buffer spilling into
-     wheel buckets, event-callback dispatch) is wrapped in
+     its heap, event-callback dispatch) is wrapped in
      HN_EFFECT_ESCAPE("why this cannot erode the warm path") ...
      HN_EFFECT_ESCAPE_END().  The justification string is mandatory:
      an empty one is a finding.  ALLOWLIST below sanctions the remaining
@@ -87,7 +87,7 @@ MARKER_OF = {NONALLOC: "HN_NONALLOCATING", NONBLOCK: "HN_NONBLOCKING"}
 # definition (Clang wants the attribute on both; removing either copy is a
 # finding).  Checked both ways against the markers found in src/.
 EFFECT_ROOTS = [
-    # Scheduler wheel: schedule/cancel/dispatch (PR 3's O(1) paths).
+    # Scheduler: schedule/cancel/dispatch (staging buffer plus heap).
     ("schedule_at", ("src/sim/scheduler.hpp", "src/sim/scheduler.cpp"),
      NONBLOCK),
     ("schedule_after", ("src/sim/scheduler.hpp", "src/sim/scheduler.cpp"),

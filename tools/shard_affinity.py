@@ -95,7 +95,7 @@ THREAD_LOCAL_ALLOWLIST = {
 
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 # `engine.scheduler(x)` / `engine_->scheduler(x)` with a non-empty
-# argument: indexing some shard's wheel by number.  The no-argument
+# argument: indexing some shard's scheduler by number.  The no-argument
 # accessors (Host::scheduler(), Network::scheduler()) are fine.
 SCHED_INDEX_RE = re.compile(r"(?:\.|->)\s*scheduler\s*\(\s*[^)\s]")
 # ShardEngine::post through any engine-shaped receiver.
