@@ -43,8 +43,6 @@ void run_main_figure() {
 
   std::vector<std::array<double, 4>> rows;
   std::vector<bench::TtcpMeasurement> ft_rows;  // primary+backup details
-  std::uint64_t fastpath_hits = 0;
-  std::uint64_t fastpath_misses = 0;
   for (std::size_t size : sizes) {
     std::array<double, 4> row{};
     for (int s = 0; s < 4; ++s) {
@@ -53,22 +51,12 @@ void run_main_figure() {
       config.backups = 1;
       auto m = run_ttcp(config, size, sweep_total_bytes(size));
       row[static_cast<std::size_t>(s)] = m.throughput_kBps;
-      fastpath_hits += m.fastpath_hits;
-      fastpath_misses += m.fastpath_misses;
       if (kSetups[s] == Setup::primary_backup) ft_rows.push_back(m);
     }
     rows.push_back(row);
     std::printf("%-12zu %14.1f %16.1f %14.1f %20.1f\n", size, row[0], row[1],
                 row[2], row[3]);
   }
-  std::printf("\nTCP fast path over the whole sweep: %llu hits / %llu misses "
-              "(%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(fastpath_hits),
-              static_cast<unsigned long long>(fastpath_misses),
-              fastpath_hits + fastpath_misses == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(fastpath_hits) /
-                        static_cast<double>(fastpath_hits + fastpath_misses));
 
   std::printf("\ncsv,size,clean,no_redirect,primary,primary_backup,"
               "ft_deposit_stalls,ft_send_stalls,ft_ack_msgs,ft_copies\n");

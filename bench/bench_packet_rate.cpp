@@ -2,7 +2,7 @@
 // packets per second of wall-clock time the simulator pushes through (a) a
 // plain one-hop path, (b) a scaled redirect, (c) a fault-tolerant fan-out
 // to several backups, and (d) TCP bulk transfers (plain and ft-TCP chain)
-// that exercise the header-prediction fast path and the scheduler.
+// that exercise the TCP input path, the ft-TCP gates and the scheduler.
 //
 // Unlike the google-benchmark binaries this is a plain scenario runner so
 // it can emit machine-readable results:
@@ -64,19 +64,11 @@ struct ScenarioResult {
   // Scheduler telemetry (delta over the scenario): entries spilled from
   // the staging buffer into the heap.
   std::uint64_t wheel_inserts = 0;
-  // TCP fast-path telemetry (zero for the UDP scenarios).
-  std::uint64_t fastpath_hits = 0;
-  std::uint64_t fastpath_misses = 0;
+  // ft-TCP gate-cache telemetry (zero for the UDP scenarios).
   std::uint64_t gate_cached_checks = 0;
   // Causal-tracer overhead probe (0 = tracing not installed).
   std::size_t trace_sample = 0;
   std::uint64_t spans_recorded = 0;
-
-  double fastpath_hit_rate() const {
-    std::uint64_t total = fastpath_hits + fastpath_misses;
-    return total == 0 ? 0 : static_cast<double>(fastpath_hits) /
-                                static_cast<double>(total);
-  }
 };
 
 /// Streams `packets` UDP datagrams from a client through a redirector to a
@@ -188,8 +180,8 @@ ScenarioResult run_scenario(const std::string& name, int backups,
 
 /// Streams `total_bytes` over TCP in 1024-byte writes — plain one-hop for
 /// backups < 0, an ft-TCP chain through the redirector otherwise — and
-/// counts wire segments per wall second.  This is the workload the header
-/// prediction fast path and the ftcp gate cache are built for.
+/// counts wire segments per wall second: the TCP input path's in-order
+/// deposit and the ftcp gate cache under bulk load.
 ScenarioResult run_tcp_scenario(const std::string& name, int backups,
                                 std::size_t total_bytes,
                                 std::size_t trace_sample = 0) {
@@ -249,8 +241,6 @@ ScenarioResult run_tcp_scenario(const std::string& name, int backups,
       result.wall_seconds > 0
           ? static_cast<double>(result.packets) / result.wall_seconds
           : 0;
-  result.fastpath_hits = registry.total("tcp.fastpath.hits");
-  result.fastpath_misses = registry.total("tcp.fastpath.misses");
   result.gate_cached_checks = registry.total("ftcp.gate.cached_checks");
   const DatapathCounters& dp = datapath_counters();
   result.copies = dp.copies;
@@ -493,12 +483,6 @@ void write_json(const std::vector<ScenarioResult>& results,
                  static_cast<unsigned long long>(r.spans_recorded));
     std::fprintf(f, "      },\n");
     std::fprintf(f, "      \"tcp\": {\n");
-    std::fprintf(f, "        \"fastpath_hits\": %llu,\n",
-                 static_cast<unsigned long long>(r.fastpath_hits));
-    std::fprintf(f, "        \"fastpath_misses\": %llu,\n",
-                 static_cast<unsigned long long>(r.fastpath_misses));
-    std::fprintf(f, "        \"fastpath_hit_rate\": %.4f,\n",
-                 r.fastpath_hit_rate());
     std::fprintf(f, "        \"gate_cached_checks\": %llu\n",
                  static_cast<unsigned long long>(r.gate_cached_checks));
     std::fprintf(f, "      },\n");
@@ -574,7 +558,7 @@ int main(int argc, char** argv) {
         "%-22s replicas=%d packets=%zu wall=%.3fs rate=%.0f pkt/s "
         "copied=%lluB (naive fan-out would copy %lluB) "
         "inner_serializations=%llu sched_heap=%llu "
-        "wheel=%llu fastpath=%.1f%% gate_cached=%llu"
+        "wheel=%llu gate_cached=%llu"
         "%s\n",
         r.name.c_str(), r.replicas, r.packets, r.wall_seconds,
         r.packets_per_wall_second,
@@ -583,7 +567,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.inner_serializations),
         static_cast<unsigned long long>(r.scheduler_heap_fallbacks),
         static_cast<unsigned long long>(r.wheel_inserts),
-        100.0 * r.fastpath_hit_rate(),
         static_cast<unsigned long long>(r.gate_cached_checks),
         r.trace_sample > 0
             ? (" trace_sample=" + std::to_string(r.trace_sample) + " spans=" +

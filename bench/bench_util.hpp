@@ -24,16 +24,6 @@ struct TtcpMeasurement {
   std::uint64_t send_gate_stalls = 0;
   std::uint64_t ack_channel_messages = 0;
   std::uint64_t redirector_copies = 0;
-  // Hot-path telemetry (summed over every host in the testbed).
-  std::uint64_t fastpath_hits = 0;
-  std::uint64_t fastpath_misses = 0;
-  std::uint64_t gate_cached_checks = 0;
-
-  double fastpath_hit_rate() const {
-    std::uint64_t total = fastpath_hits + fastpath_misses;
-    return total == 0 ? 0 : static_cast<double>(fastpath_hits) /
-                                static_cast<double>(total);
-  }
 };
 
 /// Runs one ttcp measurement (client -> service) on a fresh testbed and
@@ -89,9 +79,6 @@ inline TtcpMeasurement run_ttcp(testbed::TestbedConfig config,
   out.send_gate_stalls = registry.total("ftcp.send_gate_stalls");
   out.ack_channel_messages = registry.total("ftcp.ack_channel_sent");
   out.redirector_copies = registry.total("redirector.copies_sent");
-  out.fastpath_hits = registry.total("tcp.fastpath.hits");
-  out.fastpath_misses = registry.total("tcp.fastpath.misses");
-  out.gate_cached_checks = registry.total("ftcp.gate.cached_checks");
   return out;
 }
 

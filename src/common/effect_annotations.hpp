@@ -2,8 +2,9 @@
 //
 // The datapath earned its numbers by *removing effects*: PR 2/7 removed
 // allocations (slab arenas, packet-buffer pools — 0 allocs/pkt warm), PR 8
-// removed locks and atomics from the shard mailboxes, PR 3 made the TCP
-// fast path straight-line.  Nothing in the type system stops a future
+// removed locks and atomics from the shard mailboxes, and the one TCP
+// input path (TcpConnection::on_segment) deposits in-order bytes without
+// staging them.  Nothing in the type system stops a future
 // change from quietly re-introducing a `new`, a mutex acquisition, or a
 // throwing path inside those functions and eroding the benchmarked
 // behaviour.  These markers make the discipline machine-checked, the way

@@ -43,7 +43,6 @@ ReplicatedService::~ReplicatedService() {
 
 void ReplicatedService::install_port_options() {
   tcp::TcpStack::PortOptions options;
-  options.mode = config_.mode;
   options.hooks = this;
   options.deterministic_iss = true;
   options.suppress_rst = config_.mode == tcp::ReplicaMode::backup;

@@ -60,16 +60,6 @@ void Host::publish_metrics(stats::Registry& registry) const {
   registry.set_counter(name_, "tcp.zero_window_probes", tcp.zero_window_probes);
   registry.set_counter(name_, "tcp.sack_retransmits", tcp.sack_retransmits);
   registry.set_counter(name_, "tcp.keepalives_sent", tcp.keepalives_sent);
-  registry.set_counter(name_, "tcp.fastpath.hits", tcp.fastpath_hits);
-  registry.set_counter(name_, "tcp.fastpath.misses", tcp.fastpath_misses);
-  // Derived gauge: fraction of inbound segments the header-prediction fast
-  // path handled (0 when no segments were classified yet).
-  std::uint64_t classified = tcp.fastpath_hits + tcp.fastpath_misses;
-  registry.set_gauge(name_, "tcp.fastpath.hit_rate",
-                     classified == 0
-                         ? 0.0
-                         : static_cast<double>(tcp.fastpath_hits) /
-                               static_cast<double>(classified));
   registry.set_histogram(name_, "tcp.cwnd_bytes", tcp_.cwnd_histogram());
 }
 

@@ -59,15 +59,14 @@ void NetworkInterface::handle_rx_burst(PacketBuffer* frames,
 }
 
 Link::Link(sim::Scheduler& scheduler, Config config)
-    : scheduler_(scheduler),
-      config_(config),
+    : config_(config),
       loss_(config.loss_probability > 0
                 ? std::unique_ptr<LossModel>(
                       std::make_unique<BernoulliLoss>(config.loss_probability))
                 : std::make_unique<NoLoss>()),
       rng_(config.seed) {
-  toward_b_.src = &scheduler_;
-  toward_a_.src = &scheduler_;
+  toward_b_.src = &scheduler;
+  toward_a_.src = &scheduler;
 }
 
 Link::~Link() {

@@ -184,7 +184,6 @@ class Link {
   void flush_rx(Direction& dir);
   void deliver(Direction& dir, PacketBuffer frame);
 
-  sim::Scheduler& scheduler_;  ///< legacy single-scheduler home
   sim::ShardEngine* engine_ = nullptr;
   Config config_;
   NetworkInterface* end_a_ = nullptr;

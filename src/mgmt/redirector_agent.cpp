@@ -9,15 +9,21 @@ namespace hydranet::mgmt {
 
 namespace {
 constexpr const char* kLog = "mgmt-redirector";
+/// How long probed replicas have to answer before being declared dead.
+constexpr sim::Duration kProbeTimeout = sim::milliseconds(250);
+/// Ignore further failure reports for a service this long after a
+/// reconfiguration (lets the new chain settle).
+constexpr sim::Duration kReconfigurationCooldown = sim::seconds(1);
+/// A backup's "nobody is acking the client" report is attributed to the
+/// client (not the primary) if the primary itself reported within this
+/// window — a dead client makes *every* replica time out, and shutting
+/// down the whole chain for it would be absurd.
+constexpr sim::Duration kClientSideAttributionWindow = sim::seconds(10);
 }
 
 RedirectorAgent::RedirectorAgent(host::Host& router,
-                                 redirector::Redirector& data_plane,
-                                 Config config)
-    : router_(router),
-      data_plane_(data_plane),
-      config_(config),
-      transport_(router) {
+                                 redirector::Redirector& data_plane)
+    : router_(router), data_plane_(data_plane), transport_(router) {
   transport_.set_handler(
       [this](const net::Endpoint& from, const MgmtMessage& message) {
         on_message(from, message);
@@ -154,7 +160,7 @@ void RedirectorAgent::handle_failure_report(const net::Endpoint& from,
   if (auto last = last_reconfiguration_.find(message.service);
       last != last_reconfiguration_.end() &&
       router_.scheduler().now() - last->second <
-          config_.reconfiguration_cooldown) {
+          kReconfigurationCooldown) {
     return;
   }
   if (probes_.contains(message.service)) return;  // probe already running
@@ -183,7 +189,7 @@ void RedirectorAgent::handle_failure_report(const net::Endpoint& from,
   }
   net::Endpoint service = message.service;
   session.deadline = router_.scheduler().schedule_after(
-      config_.probe_timeout, [this, service] { finish_probe(service); });
+      kProbeTimeout, [this, service] { finish_probe(service); });
   probes_.emplace(message.service, std::move(session));
 }
 
@@ -232,7 +238,7 @@ void RedirectorAgent::finish_probe(const net::Endpoint& service) {
             !primary_complained && it != last_report_.end()) {
           primary_complained =
               router_.scheduler().now() - it->second <
-              config_.client_side_attribution_window;
+              kClientSideAttributionWindow;
         }
         if (primary_complained) {
           HLOG(info, kLog) << "report for " << service.to_string()

@@ -29,19 +29,6 @@ namespace hydranet::mgmt {
 
 class RedirectorAgent {
  public:
-  struct Config {
-    /// How long probed replicas have to answer before being declared dead.
-    sim::Duration probe_timeout = sim::milliseconds(250);
-    /// Ignore further failure reports for a service this long after a
-    /// reconfiguration (lets the new chain settle).
-    sim::Duration reconfiguration_cooldown = sim::seconds(1);
-    /// A backup's "nobody is acking the client" report is attributed to
-    /// the client (not the primary) if the primary itself reported within
-    /// this window — a dead client makes *every* replica time out, and
-    /// shutting down the whole chain for it would be absurd.
-    sim::Duration client_side_attribution_window = sim::seconds(10);
-  };
-
   struct Stats {
     std::uint64_t registrations = 0;
     std::uint64_t failure_reports = 0;
@@ -50,10 +37,7 @@ class RedirectorAgent {
     std::uint64_t promotions_ordered = 0;
   };
 
-  RedirectorAgent(host::Host& router, redirector::Redirector& data_plane,
-                  Config config);
-  RedirectorAgent(host::Host& router, redirector::Redirector& data_plane)
-      : RedirectorAgent(router, data_plane, Config{}) {}
+  RedirectorAgent(host::Host& router, redirector::Redirector& data_plane);
 
   RedirectorAgent(const RedirectorAgent&) = delete;
   RedirectorAgent& operator=(const RedirectorAgent&) = delete;
@@ -101,7 +85,6 @@ class RedirectorAgent {
 
   host::Host& router_;
   redirector::Redirector& data_plane_;
-  Config config_;
   MgmtTransport transport_;
   std::unordered_map<net::Endpoint, std::vector<net::Ipv4Address>> chains_;
   std::unordered_set<net::Endpoint> scaled_;  ///< services without a chain

@@ -43,7 +43,7 @@ Bytes serialize_tcp(const TcpSegment& segment, Ipv4Address src,
     }
     HN_EFFECT_ESCAPE(
         "TCP option padding: only SYN and SACK-bearing segments carry "
-        "options; the plain data/ACK fast path leaves the buffer empty "
+        "options; plain data and ACK segments leave the buffer empty "
         "and skips this loop")
     while (options.size() % 4 != 0) options.push_back(1);  // NOP padding
     HN_EFFECT_ESCAPE_END()

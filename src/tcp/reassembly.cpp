@@ -82,6 +82,10 @@ std::uint64_t ReassemblyBuffer::in_order_end(std::uint64_t base) const {
 Bytes ReassemblyBuffer::extract(std::uint64_t base, std::uint64_t limit) {
   Bytes out;
   if (limit <= base) return out;
+  HN_EFFECT_ESCAPE(
+      "staged-deposit drain: bytes the ft-TCP deposit gate held or a hole "
+      "reordered, drained once per gate report or repaired hole; a segment "
+      "that arrives in order with nothing staged never comes here")
   out.reserve(limit - base);
   std::uint64_t cursor = base;
   while (cursor < limit) {
@@ -125,6 +129,7 @@ Bytes ReassemblyBuffer::extract(std::uint64_t base, std::uint64_t limit) {
       if (!tail.empty()) chunks_.emplace(cursor, std::move(tail));
     }
   }
+  HN_EFFECT_ESCAPE_END()
   return out;
 }
 
@@ -155,7 +160,7 @@ ReassemblyBuffer::blocks_beyond(std::uint64_t base,
       HN_EFFECT_ESCAPE(
           "SACK island assembly: at most max_blocks (kMaxSackBlocks) "
           "entries, and only reached when the reassembly queue has gaps — "
-          "the out-of-order path, never the in-order fast path")
+          "the out-of-order path, never an in-order arrival")
       blocks.emplace_back(current_start, current_end);
       HN_EFFECT_ESCAPE_END()
       if (blocks.size() >= max_blocks) return blocks;

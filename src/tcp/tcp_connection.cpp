@@ -29,16 +29,7 @@ void TcpConnection::Stats::merge(const Stats& other) {
   zero_window_probes += other.zero_window_probes;
   sack_retransmits += other.sack_retransmits;
   keepalives_sent += other.keepalives_sent;
-  fastpath_hits += other.fastpath_hits;
-  fastpath_misses += other.fastpath_misses;
 }
-
-namespace {
-bool g_fastpath_enabled = true;
-}
-
-void set_fastpath_enabled(bool enabled) { g_fastpath_enabled = enabled; }
-bool fastpath_enabled() { return g_fastpath_enabled; }
 
 const char* to_string(TcpState state) {
   switch (state) {
@@ -268,7 +259,11 @@ void TcpConnection::start_passive(std::uint32_t iss,
 void TcpConnection::enter_established() {
   if (state_ == TcpState::established) return;
   set_state(TcpState::established);
+  HN_EFFECT_ESCAPE(
+      "connection lifecycle: one debug line when a connection reaches "
+      "ESTABLISHED, never for a segment of an established connection")
   HLOG(debug, kLog) << key_.to_string() << " ESTABLISHED";
+  HN_EFFECT_ESCAPE_END()
   if (options_.keepalive_interval.ns > 0) {
     note_activity();
     request_page_tick(last_activity_ + options_.keepalive_interval);
@@ -318,7 +313,8 @@ void TcpConnection::notify_writable() {
 
 // ---- segment processing ----------------------------------------------------
 
-void TcpConnection::on_segment(const net::TcpSegment& segment) {
+void TcpConnection::on_segment(const net::TcpSegment& segment)
+    HN_NONBLOCKING {
   stats_.segments_received++;
   if (state_ == TcpState::closed) return;
   note_activity();
@@ -328,15 +324,12 @@ void TcpConnection::on_segment(const net::TcpSegment& segment) {
 #endif
   if (state_ == TcpState::syn_sent) {
     process_syn_sent(segment);
-  } else if (g_fastpath_enabled && try_fast_path(segment)) {
-    stats_.fastpath_hits++;
   } else {
-    if (g_fastpath_enabled) stats_.fastpath_misses++;
     process_general(segment);
   }
 #if HYDRANET_INVARIANTS
-  // Post-state sanity, identical for the fast and slow paths: whatever
-  // route the segment took, the stream pointers must agree on these rules.
+  // Post-state sanity: whatever the segment did, the stream pointers must
+  // agree on these rules.
   check_stream_invariants(rcv_nxt_before, snd_una_before);
 #endif
 }
@@ -396,10 +389,8 @@ void TcpConnection::check_gate_invariants() {
 }
 
 void TcpConnection::test_corrupt_gate_cache() {
-  gate_marks_.deposit_unbounded = true;
   gate_marks_.transmit_unbounded = true;
   gate_marks_.cached_checks = nullptr;
-  deposit_cache_valid_ = true;
   transmit_cache_valid_ = true;
 }
 
@@ -410,123 +401,22 @@ void TcpConnection::test_deposit_out_of_window(std::size_t len) {
   check_stream_invariants(rcv_nxt_before, snd_una_);
 }
 
+void TcpConnection::test_deposit_past_gate(std::size_t len) {
+  GateMarks marks;
+  if (hooks_ == nullptr || !hooks_->gate_marks(*this, marks) ||
+      marks.deposit_unbounded) {
+    return;
+  }
+  const std::uint64_t rcv_nxt = rcv_nxt_;
+  rcv_nxt_ = std::max(rcv_nxt_, seq_to_off_rcv(marks.deposit_mark)) + len;
+  check_gate_invariants();
+  rcv_nxt_ = rcv_nxt;
+}
+
 void TcpConnection::test_forge_page_deadline(sim::TimePoint forged) {
   stack_.set_page_deadline(slab_slot_, forged);
 }
 #endif
-
-bool TcpConnection::try_fast_path(
-    const net::TcpSegment& segment) HN_NONBLOCKING {
-  const net::TcpHeader& h = segment.header;
-  // Entry conditions (header prediction): steady-state ESTABLISHED, a
-  // plain ACK(+PSH) at exactly the expected SEQ, no SACK traffic, no FIN
-  // on either stream, no retransmission state in play.
-  if (state_ != TcpState::established) return false;
-  if (!h.ack_flag || h.syn || h.fin || h.rst) return false;
-  if (!h.sack_blocks.empty()) return false;
-  if (fin_received_ || fin_queued_) return false;
-  if (!scoreboard_.empty()) return false;
-  if (seq_to_off_rcv(h.seq) != rcv_nxt_) return false;
-  if (snd_wnd_ == 0) return false;  // possible persist-mode exit: full path
-  const std::uint64_t ack_off = seq_to_off_snd(h.ack);
-  if (ack_off > snd_max_ || ack_off < snd_una_) return false;
-  const std::size_t len = segment.payload.size();
-  if (len == 0 && ack_off == snd_una_) return false;  // dup-ACK heuristics
-  if (len > 0) {
-    // In-order data must land entirely inside the granted window, with no
-    // out-of-order islands staged (so the deposit is a straight append).
-    if (!reassembly_.empty()) return false;
-    if (rcv_nxt_ + len > acceptance_window_end()) return false;
-    if (hooks_ != nullptr) {
-      // ft-TCP deposit gate: a single integer compare against the cached
-      // successor high-water mark.  Anything not provably open falls back
-      // to the authoritative hook (which tracks stall intervals).
-      if (!deposit_cache_valid_) return false;
-      if (!gate_marks_.deposit_unbounded &&
-          seq_to_off_rcv(gate_marks_.deposit_mark) < rcv_nxt_ + len) {
-        return false;
-      }
-      if (gate_marks_.cached_checks) ++*gate_marks_.cached_checks;
-    }
-  }
-
-  // Predicted: replicate the full path's effects for this segment shape.
-  const std::uint64_t seq_off = rcv_nxt_;
-
-  // Window update (RFC 793 SND.WL1/WL2 rule), as in process_ack().
-  if (snd_wl1_ < seq_off || (snd_wl1_ == seq_off && snd_wl2_ <= ack_off)) {
-    snd_wnd_ = h.window;
-    snd_wl1_ = seq_off;
-    snd_wl2_ = ack_off;
-  }
-
-  if (ack_off > snd_una_) {
-    // Cumulative ACK advance (the pure-ACK prediction, also piggybacked).
-    const std::size_t newly_acked = ack_off - snd_una_;
-    while (!send_data_.empty() && send_data_base_ < ack_off) {
-      std::size_t drop = std::min<std::uint64_t>(ack_off - send_data_base_,
-                                                 send_data_.size());
-      send_data_.pop_front(drop);
-      send_data_base_ += drop;
-    }
-    snd_una_ = ack_off;
-    dup_acks_ = 0;
-    sack_hole_cursor_ = snd_una_;
-    if (rtt_sampling_ && ack_off > rtt_sample_off_) {
-      rtt_.sample(scheduler_.now() - rtt_sample_sent_at_);
-      rtt_sampling_ = false;
-    }
-    rto_backoff_ = 0;
-    consecutive_timeouts_ = 0;
-    std::size_t mss = effective_mss();
-    if (cwnd_ < ssthresh_) {
-      cwnd_ += std::min(newly_acked, mss);  // slow start
-    } else {
-      cwnd_ += std::max<std::size_t>(1, mss * mss / cwnd_);  // avoidance
-    }
-    stack_.observe_cwnd(static_cast<double>(cwnd_));
-    if (snd_una_ == snd_max_) {
-      cancel_rto();
-    } else {
-      arm_rto();
-    }
-    notify_writable();
-  }
-
-  if (len > 0) {
-    // Straight-line deposit: what insert-then-deposit_in_order() would do
-    // with an empty reassembly buffer and an open (or absent) gate.
-    HN_EFFECT_ESCAPE(
-        "receive-ring append: RingQueue grows by power-of-two doubling and "
-        "retains capacity across reads, so a flow's steady state writes in "
-        "place")
-    readable_.append(segment.payload.begin(), segment.payload.end());
-    HN_EFFECT_ESCAPE_END()
-    rcv_nxt_ += len;
-    ack_pending_ = true;
-    notify_readable();
-    if (hooks_ == nullptr && options_.delayed_ack) {
-      // Clean in-order progress: defer the ACK exactly as the full path
-      // does (every 2nd segment, or the delack timer).
-      delack_segments_++;
-      if (delack_segments_ < 2) {
-        ack_pending_ = false;
-        if (delack_timer_ == sim::kInvalidTimer) {
-          delack_timer_ = scheduler_.schedule_after(
-              options_.delayed_ack_timeout, [this] {
-                delack_timer_ = sim::kInvalidTimer;
-                if (state_ == TcpState::closed) return;
-                ack_pending_ = true;
-                output();
-              });
-        }
-      }
-    }
-  }
-
-  output();
-  return true;
-}
 
 void TcpConnection::process_syn_sent(const net::TcpSegment& segment) {
   const net::TcpHeader& h = segment.header;
@@ -798,28 +688,39 @@ void TcpConnection::process_payload(const net::TcpSegment& segment) {
     return;
   }
   std::uint64_t seq_off = seq_to_off_rcv(segment.header.seq);
-  // Does this arrival land beyond the contiguous staged extent (i.e., a
-  // real hole exists)?  Decided before the insert mutates the buffer.
-  bool creates_island = seq_off > reassembly_.in_order_end(rcv_nxt_);
-  auto result = reassembly_.insert(seq_off, segment.payload, rcv_nxt_,
-                                   acceptance_window_end());
-  if (result == ReassemblyBuffer::InsertResult::duplicate) {
-    stats_.duplicate_segments_seen++;
-    if (hooks_) hooks_->on_client_retransmission(*this);
-  }
-  // Stock TCP acknowledges every data segment immediately.  A gated
-  // (ft-TCP) connection must NOT ack held-back IN-ORDER data: §4.3 has the
-  // primary reply "once it receives the data and the acknowledgment
-  // information for that data from S1".  Acking staged in-order data would
-  // emit byte-identical duplicate ACKs and trip the client's fast
-  // retransmit on a perfectly healthy chain; a stalled gate must surface
-  // as a client timeout — the estimator's signal.  A GENUINE hole is the
-  // opposite case: data this replica never received.  There the duplicate
-  // ACK (with SACK islands, if negotiated) is exactly what lets the client
-  // fast-retransmit instead of burning a full RTO per loss.
   std::uint64_t rcv_before = rcv_nxt_;
-  if (hooks_ == nullptr || creates_island) ack_pending_ = true;
-  deposit_in_order();
+  if (seq_off == rcv_nxt_ && reassembly_.empty()) {
+    // The common case: in order with nothing staged, so no hole and no
+    // duplicate.  The bytes go straight from the segment to readable_, and
+    // the deposit acks what the gate lets through.
+    deposit_in_order(segment.payload);
+  } else {
+    // Does this arrival land beyond the contiguous staged extent (i.e., a
+    // real hole exists)?  Decided before the insert mutates the buffer.
+    bool creates_island = seq_off > reassembly_.in_order_end(rcv_nxt_);
+    HN_EFFECT_ESCAPE(
+        "out-of-order staging: a segment that misses RCV.NXT (a hole or a "
+        "retransmission) or arrives behind bytes the deposit gate holds")
+    auto result = reassembly_.insert(seq_off, segment.payload, rcv_nxt_,
+                                     acceptance_window_end());
+    HN_EFFECT_ESCAPE_END()
+    if (result == ReassemblyBuffer::InsertResult::duplicate) {
+      stats_.duplicate_segments_seen++;
+      if (hooks_) hooks_->on_client_retransmission(*this);
+    }
+    // Stock TCP acknowledges every data segment immediately.  A gated
+    // (ft-TCP) connection must NOT ack held-back IN-ORDER data: §4.3 has
+    // the primary reply "once it receives the data and the acknowledgment
+    // information for that data from S1".  Acking staged in-order data
+    // would emit byte-identical duplicate ACKs and trip the client's fast
+    // retransmit on a perfectly healthy chain; a stalled gate must surface
+    // as a client timeout — the estimator's signal.  A GENUINE hole is the
+    // opposite case: data this replica never received.  There the
+    // duplicate ACK (with SACK islands, if negotiated) is exactly what lets
+    // the client fast-retransmit instead of burning a full RTO per loss.
+    if (hooks_ == nullptr || creates_island) ack_pending_ = true;
+    deposit_in_order();
+  }
 
   if (hooks_ == nullptr && options_.delayed_ack && rcv_nxt_ > rcv_before &&
       reassembly_.buffered() == 0 && !fin_received_) {
@@ -842,8 +743,14 @@ void TcpConnection::process_payload(const net::TcpSegment& segment) {
   }
 }
 
-void TcpConnection::deposit_in_order() {
-  std::uint64_t in_end = reassembly_.in_order_end(rcv_nxt_);
+void TcpConnection::deposit_in_order(BytesView arriving) {
+  // Arriving bytes end at the granted window's edge (the clip the
+  // reassembly buffer applies to everything it stages).
+  std::uint64_t in_end =
+      arriving.empty()
+          ? reassembly_.in_order_end(rcv_nxt_)
+          : std::min<std::uint64_t>(rcv_nxt_ + arriving.size(),
+                                    acceptance_window_end());
   // The peer's FIN is the last "byte" of the stream for gating purposes.
   std::uint64_t logical_end =
       (fin_received_ && in_end == peer_fin_off_) ? in_end + 1 : in_end;
@@ -851,19 +758,35 @@ void TcpConnection::deposit_in_order() {
   if (hooks_) {
     std::uint32_t wire_limit =
         hooks_->deposit_limit(*this, off_to_seq_rcv(logical_end));
-    std::uint64_t hook_limit = seq_to_off_rcv(wire_limit);
-    limit = std::min(limit, hook_limit);
-    // Re-snapshot the gate for the fast path, but only while the gate is
-    // provably non-binding: a binding gate has an open stall interval
-    // whose closure must come from an authoritative hook call.
-    deposit_cache_valid_ =
-        hook_limit >= logical_end && hooks_->gate_marks(*this, gate_marks_);
+    limit = std::min(limit, seq_to_off_rcv(wire_limit));
   }
 
-  std::uint64_t data_limit = std::min(limit, in_end);
-  if (data_limit > rcv_nxt_) {
-    Bytes data = reassembly_.extract(rcv_nxt_, data_limit);
-    readable_.append(data.begin(), data.end());
+  std::uint64_t data_limit = std::max(std::min(limit, in_end), rcv_nxt_);
+  const std::size_t open = static_cast<std::size_t>(data_limit - rcv_nxt_);
+  if (!arriving.empty() && in_end > data_limit) {
+    // Stage what the gate holds back before the readable callback can
+    // look at the receive window.
+    HN_EFFECT_ESCAPE(
+        "gate-held staging: only the part of an in-order segment the ft-TCP "
+        "deposit gate holds back until the successor's ACK report")
+    reassembly_.insert(data_limit,
+                       arriving.subspan(open, static_cast<std::size_t>(
+                                                  in_end - data_limit)),
+                       data_limit, in_end);
+    HN_EFFECT_ESCAPE_END()
+  }
+  if (open > 0) {
+    HN_EFFECT_ESCAPE(
+        "receive-ring append: RingQueue grows by power-of-two doubling and "
+        "retains capacity across reads, so a flow's steady state writes in "
+        "place; the staged drain runs once per gate report or repaired hole")
+    if (arriving.empty()) {
+      Bytes data = reassembly_.extract(rcv_nxt_, data_limit);
+      readable_.append(data.begin(), data.end());
+    } else {
+      readable_.append(arriving.begin(), arriving.begin() + open);
+    }
+    HN_EFFECT_ESCAPE_END()
     rcv_nxt_ = data_limit;
     ack_pending_ = true;
     notify_readable();
@@ -1049,7 +972,7 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
       HN_EFFECT_ESCAPE(
           "SACK block list: bounded by kMaxSackBlocks entries and only "
           "built while the reassembly queue has gaps — the out-of-order "
-          "path, never the in-order fast path")
+          "path, never an in-order arrival")
       h.sack_blocks.emplace_back(off_to_seq_rcv(left), off_to_seq_rcv(right));
       HN_EFFECT_ESCAPE_END()
     }
@@ -1295,7 +1218,11 @@ void TcpConnection::sack_merge(std::uint64_t left, std::uint64_t right) {
   auto it = scoreboard_.begin();
   while (it != scoreboard_.end() && it->second < left) ++it;
   if (it == scoreboard_.end() || it->first > right) {
+    HN_EFFECT_ESCAPE(
+        "SACK scoreboard growth: only for ACKs carrying SACK blocks, i.e. "
+        "while the peer reports holes; the vector keeps its capacity")
     scoreboard_.insert(it, {left, right});
+    HN_EFFECT_ESCAPE_END()
     return;
   }
   it->first = std::min(it->first, left);

@@ -43,10 +43,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
     std::uint64_t zero_window_probes = 0;
     std::uint64_t sack_retransmits = 0;  ///< hole repairs from the scoreboard
     std::uint64_t keepalives_sent = 0;   ///< idle probes off the page tick
-    /// Header prediction: segments fully handled by the fast path vs
-    /// segments that fell through to the full state machine (only counted
-    /// while the fast path is enabled and the connection is past the
-    /// handshake).
+    /// Always 0: every segment takes the one input path (on_segment).
+    /// Kept only because the perfbench harness still reads them.
     std::uint64_t fastpath_hits = 0;
     std::uint64_t fastpath_misses = 0;
     /// Accumulates `other` into this (per-node aggregation across
@@ -158,10 +156,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// whenever anything that feeds the gates changes — successor reports,
   /// reconfiguration, or an out-of-band transmit_limit() probe whose
   /// stall-tracking side effects the cache must not mask.
-  void invalidate_gate_cache() {
-    deposit_cache_valid_ = false;
-    transmit_cache_valid_ = false;
-  }
+  void invalidate_gate_cache() { transmit_cache_valid_ = false; }
 
   /// Re-evaluates the deposit and transmit gates; called when the
   /// acknowledgement channel delivers fresh successor state.
@@ -178,13 +173,18 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t seq_to_off_rcv(std::uint32_t seq) const;
 
 #if HYDRANET_INVARIANTS
-  /// Negative-test hook: forges an unbounded cached gate snapshot so the
-  /// fast paths skip the authoritative gate — the stale-cache corruption
-  /// the gate_deposit/gate_send invariants exist to catch.
+  /// Negative-test hook: forges an unbounded cached gate snapshot so
+  /// output() skips the authoritative send gate — the stale-cache
+  /// corruption the gate_send invariant exists to catch.
   void test_corrupt_gate_cache();
   /// Negative-test hook: deposits `len` fabricated bytes past the granted
   /// window, then runs the post-segment stream checks (tcp_stream).
   void test_deposit_out_of_window(std::size_t len);
+  /// Negative-test hook: moves the deposited extent `len` bytes past the
+  /// successor's ACK mark (a gate-bound connection only), runs the
+  /// post-deposit gate checks (gate_deposit), then moves it back so the
+  /// connection carries on unharmed.
+  void test_deposit_past_gate(std::size_t len);
   /// Negative-test hook: overwrites this connection's cached page-tick
   /// deadline with `forged` without touching its inputs — the missed
   /// rewrite the page tick's sched_order check exists to catch.
@@ -202,20 +202,15 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // Entry points from the stack.
   void start_connect();                       // active open (sends SYN)
   void start_passive(std::uint32_t iss, const net::TcpSegment& syn);
-  void on_segment(const net::TcpSegment& segment);
+  /// The one TCP input path: every segment for this connection.
+  /// Hot-path effect root (DESIGN.md §12): allocation-free against warm
+  /// pools and receive rings, no locks, no I/O; loss recovery, reordering
+  /// and gate-held staging are escaped cold paths.
+  void on_segment(const net::TcpSegment& segment) HN_NONBLOCKING;
 
   // Segment processing helpers.
-  /// Header prediction (the VJ fast path): recognises the two common-case
-  /// shapes on an ESTABLISHED connection — a pure ACK advancing snd_una,
-  /// and an in-order data segment with nothing unusual in flight — and
-  /// handles them completely, with effects identical to the full state
-  /// machine.  Returns false (connection untouched) on anything else.
-  /// Hot-path effect root (DESIGN.md §12): header prediction plus the
-  /// cached deposit-gate compare — straight-line, allocation-free against
-  /// warm pools, no locks, no I/O.
-  bool try_fast_path(const net::TcpSegment& segment) HN_NONBLOCKING;
 #if HYDRANET_INVARIANTS
-  /// Post-segment stream sanity (both fast and slow paths).
+  /// Post-segment stream sanity.
   void check_stream_invariants(std::uint64_t rcv_nxt_before,
                                std::uint64_t snd_una_before) const;
   /// Confirms neither stream ran past the authoritative gate marks (the
@@ -227,7 +222,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool sequence_acceptable(const net::TcpSegment& segment) const;
   void process_ack(const net::TcpSegment& segment);
   void process_payload(const net::TcpSegment& segment);
-  void deposit_in_order();
+  /// Moves the in-order bytes the deposit gate allows into readable_.
+  /// `arriving` is the payload of a segment that starts at rcv_nxt_ while
+  /// nothing is staged: its in-window bytes are appended straight from
+  /// the segment and only a remainder the gate holds is staged.  Empty:
+  /// deposit from the reassembly buffer.
+  void deposit_in_order(BytesView arriving = {});
   void maybe_consume_fin();
 
   // Output path.
@@ -312,11 +312,11 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t trace_root_ctx_ = 0;
 
   // --- cached ft-TCP gate snapshot (see GateMarks) ---
-  // A side is valid only when the last authoritative hook call on that
-  // side was non-binding (so no stall interval is open that a skipped
-  // call could fail to close); it is dropped on every gate update.
+  // output() reads its transmit side, valid only when the last
+  // authoritative send-gate call was non-binding (so no stall interval is
+  // open that a skipped call could fail to close); it is dropped on every
+  // gate update.
   GateMarks gate_marks_{};
-  bool deposit_cache_valid_ = false;
   bool transmit_cache_valid_ = false;
 
   // --- send state (offsets are bytes since ISS; SYN occupies offset 0,

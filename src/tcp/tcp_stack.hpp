@@ -46,14 +46,13 @@ class TcpListener {
   TcpOptions options_;
 };
 
-/// Replication mode of a TCP port (the paper's setportopt()).
-enum class ReplicaMode { none, primary, backup };
+/// Role of a replica on a replicated TCP port (the paper's setportopt()).
+enum class ReplicaMode { primary, backup };
 
 class TcpStack {
  public:
   /// Per-port options installed by the ft-TCP layer.
   struct PortOptions {
-    ReplicaMode mode = ReplicaMode::none;
     /// Gating hooks installed on every connection of this port.
     TcpConnectionHooks* hooks = nullptr;
     /// Derive the ISS deterministically from the 4-tuple so replicas share

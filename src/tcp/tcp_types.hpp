@@ -114,19 +114,15 @@ struct TcpOptions {
 
 class TcpConnection;
 
-/// Process-global switch for the header-prediction fast path (on by
-/// default).  The fast path is an optimisation, never a behaviour change;
-/// the property tests force it off and assert byte-identical runs.
-void set_fastpath_enabled(bool enabled);
-bool fastpath_enabled();
-
-/// Snapshot of an ft-TCP gate's state, cached by the connection so the
-/// fast-path gate check is a single integer compare instead of a virtual
-/// call re-deriving chain state per segment.  The marks are the successor
-/// high-water sequence numbers the gates would clamp to; `unbounded` means
-/// the gate cannot bind at all (last in chain, or pass-through).  The
-/// snapshot stays valid until the owning service invalidates it (successor
-/// report, reconfiguration) — see TcpConnection::invalidate_gate_cache().
+/// Snapshot of an ft-TCP gate's state.  The connection caches it so its
+/// send-gate check in output() is a single integer compare instead of a
+/// virtual call re-deriving chain state per segment; the invariant checks
+/// re-derive a fresh one to audit both streams.  The marks are the
+/// successor high-water sequence numbers the gates would clamp to;
+/// `unbounded` means the gate cannot bind at all (last in chain, or
+/// pass-through).  The cached snapshot stays valid until the owning
+/// service invalidates it (successor report, reconfiguration) — see
+/// TcpConnection::invalidate_gate_cache().
 struct GateMarks {
   std::uint32_t deposit_mark = 0;   ///< wire seq; deposit byte k iff k < mark
   std::uint32_t transmit_mark = 0;  ///< wire seq; send byte k iff k < mark

@@ -339,18 +339,24 @@ TEST_F(InvariantTest, StaleGateCacheFiresGateDepositAndGateSend) {
     }
   });
 
-  // Reach steady state with the chain healthy: the fast path is engaged
-  // and the gates bind only by the ack-channel report lag.
+  // Reach steady state with the chain healthy: the gates bind only by the
+  // ack-channel report lag.
   fx.net.run_for(sim::milliseconds(200));
   ASSERT_NE(fx.servers[0].conn, nullptr);
+  ASSERT_EQ(fx.servers[0].conn->state(), tcp::TcpState::established);
   EXPECT_EQ(total_violations(), 0u);
 
-  // Forge an unbounded cached gate snapshot on the primary's connection,
-  // re-forging on a timer because any authoritative (slow-path) deposit
-  // legitimately repairs the cache.  While forged, the fast path deposits
-  // and transmits ahead of the successor's reported marks — the stale
-  // cache overrun check_gate_invariants() re-derives and catches.
+  // Every deposit asks the authoritative deposit gate, so no cache can
+  // carry the primary past the successor's ACK mark; fabricate that
+  // overrun directly for check_gate_invariants() to catch.
   ScopedCollector collector;
+  fx.servers[0].conn->test_deposit_past_gate(1);
+
+  // Forge an unbounded cached send-gate snapshot on the primary's
+  // connection, re-forging on a timer because every successor report
+  // legitimately drops the cache.  While forged, output() transmits ahead
+  // of the successor's reported SEQ mark — the stale-cache overrun
+  // check_gate_invariants() re-derives after the next deposit and catches.
   std::function<void()> corrupt = [&] {
     if (conn->state() == tcp::TcpState::closed) return;
     if (fx.servers[0].conn != nullptr &&

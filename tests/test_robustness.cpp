@@ -156,6 +156,43 @@ TEST(HostileInput, MalformedTcpFramesAreDroppedSilently) {
   EXPECT_EQ(client.value()->state(), tcp::TcpState::established);
 }
 
+TEST(HostileInput, InOrderSegmentPastTheWindowDepositsOnlyTheWindow) {
+  Pair pair;
+  tcp::TcpOptions server_options;
+  server_options.recv_buffer_capacity = 1000;
+  std::shared_ptr<tcp::TcpConnection> server;  // never reads
+  auto listener = pair.b.tcp().listen(
+      net::Ipv4Address(), 80,
+      [&](std::shared_ptr<tcp::TcpConnection> conn) { server = conn; },
+      server_options);
+  ASSERT_TRUE(listener.ok());
+  auto client =
+      pair.a.tcp().connect(net::Ipv4Address(), {ip(10, 0, 0, 2), 80}).value();
+  pair.net.run_for(sim::milliseconds(100));
+  ASSERT_NE(server, nullptr);
+
+  // A sender that ignores the 1,000-byte window: one in-order segment of
+  // 1,400 bytes at RCV.NXT, forged on the client's 4-tuple.
+  net::TcpSegment segment;
+  segment.header.src_port = client->key().local.port;
+  segment.header.dst_port = 80;
+  segment.header.seq = client->snd_nxt_wire();
+  segment.header.ack = client->rcv_nxt_wire();
+  segment.header.ack_flag = true;
+  segment.header.window = 65535;
+  segment.payload = Bytes(1400, 0x5a);
+  net::Datagram d;
+  d.header.protocol = net::IpProto::tcp;
+  d.header.src = ip(10, 0, 0, 1);
+  d.header.dst = ip(10, 0, 0, 2);
+  d.payload = net::serialize_tcp(segment, d.header.src, d.header.dst);
+  ASSERT_TRUE(pair.a.ip().send(std::move(d)).ok());
+  pair.net.run_for(sim::milliseconds(5));
+
+  // Only the granted window is deposited; the overrun is dropped.
+  EXPECT_EQ(server->readable_bytes(), 1000u);
+}
+
 TEST(HostileInput, SynFloodHalfOpensAreReaped) {
   Pair pair;
   tcp::TcpOptions listener_options;

@@ -320,6 +320,66 @@ TEST(TcpFlowControl, ZeroWindowStallsThenResumes) {
   EXPECT_EQ(fnv1a(received), fnv1a(payload));
 }
 
+/// A deposit gate that opens at most `step` bytes past RCV.NXT per check
+/// and binds nothing else.
+class PrefixGate final : public TcpConnectionHooks {
+ public:
+  explicit PrefixGate(std::uint32_t step) : step_(step) {}
+  std::uint32_t deposit_limit(const TcpConnection& connection,
+                              std::uint32_t in_order_end) override {
+    const std::uint32_t base = connection.rcv_nxt_wire();
+    return in_order_end - base > step_ ? base + step_ : in_order_end;
+  }
+  std::uint32_t transmit_limit(const TcpConnection&,
+                               std::uint32_t window_limit) override {
+    return window_limit;
+  }
+  bool filter_segment(TcpConnection&, const net::TcpSegment&) override {
+    return true;
+  }
+  void on_client_retransmission(TcpConnection&) override {}
+  void on_retransmission_timeout(TcpConnection&) override {}
+  void on_established(TcpConnection&) override {}
+  void on_connection_closed(TcpConnection&) override {}
+
+ private:
+  std::uint32_t step_;
+};
+
+TEST(TcpGate, HeldRemainderIsStagedBeforeTheReadableCallback) {
+  Pair pair;
+  PrefixGate gate(100);
+  TcpStack::PortOptions port;
+  port.hooks = &gate;
+  pair.b.tcp().set_port_options(80, port);
+  std::shared_ptr<TcpConnection> server;
+  std::vector<std::pair<std::size_t, std::size_t>> seen;  // readable, held
+  ASSERT_TRUE(pair.b.tcp()
+                  .listen(net::Ipv4Address(), 80,
+                          [&](std::shared_ptr<TcpConnection> c) {
+                            server = std::move(c);
+                            server->set_on_readable([&] {
+                              seen.emplace_back(
+                                  server->readable_bytes(),
+                                  server->undeposited_in_order());
+                            });
+                          })
+                  .ok());
+  auto client =
+      pair.a.tcp().connect(net::Ipv4Address(), {ip(10, 0, 0, 2), 80}).value();
+  pair.net.run_for(sim::milliseconds(100));
+  ASSERT_NE(server, nullptr);
+
+  // One 1,000-byte segment at RCV.NXT with nothing staged: the gate's 100
+  // bytes go straight to the socket buffer, and the 900 it holds must
+  // already count against the receive window when the application hears
+  // about the 100 (its recv() sizes window updates from that).
+  ASSERT_TRUE(client->send(ttcp_pattern(1000, 0)).ok());
+  pair.net.run_for(sim::milliseconds(100));
+  ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.front(), std::make_pair(std::size_t{100}, std::size_t{900}));
+}
+
 TEST(TcpOptionsBehaviour, NagleCoalescesAndNodelayDoesNot) {
   auto run_with = [&](bool nodelay) {
     // A long RTT keeps data outstanding, which is when Nagle holds back

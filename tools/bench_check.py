@@ -104,10 +104,8 @@ def main():
                            f"{name}: expected >= {floor:.0f} pkt/s "
                            f"(baseline {base_rate:.0f} - {args.tolerance:.0%}), "
                            f"measured {rate:.0f} ({delta:+.1%})"))
-        hit_rate = scenario.get("tcp", {}).get("fastpath_hit_rate", 0.0)
-        extra = f"  fastpath={100 * hit_rate:.1f}%" if hit_rate else ""
         print(f"{name:24s} {rate:12.0f} pkt/s  vs {base_rate:12.0f} "
-              f"({delta:+7.1%})  {verdict}{extra}")
+              f"({delta:+7.1%})  {verdict}")
 
     missing = set(baseline) - {s["name"] for s in scenarios}
     for name in sorted(missing):

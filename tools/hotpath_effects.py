@@ -3,10 +3,10 @@ no-alloc/no-lock/no-throw/no-I/O contract (DESIGN.md §12).
 
 The datapath's benchmark results are *absence* results: PR 2/7 removed
 allocations (slab arenas, packet-buffer pools — 0 allocs/pkt warm), PR 8
-removed locks from the shard mailboxes, PR 3 made the TCP fast path
-straight-line.  Nothing in a normal build stops a future PR from quietly
-re-introducing a `new`, a mutex acquisition, or a logging call inside that
-code.  Clang >= 19 can enforce this with function-effect attributes (the
+removed locks from the shard mailboxes, and the one TCP input path
+deposits in-order bytes without staging them.  Nothing in a normal build
+stops a future change from quietly re-introducing a `new`, a mutex
+acquisition, or a logging call inside that code.  Clang >= 19 can enforce this with function-effect attributes (the
 `effects` CMake preset); this tool is the half of the gate that works on
 *any* compiler, in the mold of tools/shard_affinity.py.
 
@@ -99,9 +99,9 @@ EFFECT_ROOTS = [
      NONBLOCK),
     ("run_through", ("src/sim/scheduler.hpp", "src/sim/scheduler.cpp"),
      NONBLOCK),
-    # TCP header prediction incl. the cached deposit-gate compare (PR 3).
-    ("try_fast_path", ("src/tcp/tcp_connection.hpp",
-                       "src/tcp/tcp_connection.cpp"), NONBLOCK),
+    # The one TCP input path: every segment a connection receives.
+    ("on_segment", ("src/tcp/tcp_connection.hpp",
+                    "src/tcp/tcp_connection.cpp"), NONBLOCK),
     # Per-segment connection demux: one probe of the flat table.
     ("find", ("src/tcp/connection_table.hpp",), NONBLOCK),
     # Coalesced page tick: the stack's dense scan of the page's cached
@@ -147,12 +147,13 @@ POOL_COMPONENTS = {
 # its justification.
 CONTRACT_BOUNDARIES = {
     # The ft-hook virtual interface (TcpConnectionHooks, tcp_types.hpp):
-    # the cached-gate compare keeps these off the warm path; when they do
-    # run (cache miss, retransmission, lifecycle), the replication work is
-    # the ftcp layer's own budget, gated by the failover benches.
-    "deposit_limit": "ft-hook virtual: cache-miss/policy path",
-    "transmit_limit": "ft-hook virtual: cache-miss/policy path",
-    "gate_marks": "ft-hook virtual: cache-miss/policy path",
+    # the replication work behind these (the §4.3 gates, retransmission
+    # and lifecycle reports) is the ftcp layer's own budget, gated by the
+    # failover benches.  The send gate's cached compare keeps
+    # transmit_limit off the warm path.
+    "deposit_limit": "ft-hook virtual: the §4.3 deposit gate",
+    "transmit_limit": "ft-hook virtual: send-gate cache-miss path",
+    "gate_marks": "ft-hook virtual: gate snapshot refresh",
     "filter_segment": "ft-hook virtual: backup swallow decision",
     "on_client_retransmission": "ft-hook virtual: loss-recovery path",
     "on_retransmission_timeout": "ft-hook virtual: failure-signal path",
@@ -161,7 +162,7 @@ CONTRACT_BOUNDARIES = {
     # The TCP -> IP hand-off.  The network layers below TCP (routing,
     # fragmentation, links, delivery) own their own effect budget; their
     # per-packet costs are gated by the packet-path benchmarks, not by the
-    # TCP fast-path contract.
+    # TCP input-path contract.
     "send": "TCP -> IP hand-off: lower layers own their effect budget",
     # Connection teardown: a page tick reaches it only when a connection
     # exhausts its retransmissions, once per connection lifetime.  Folding
@@ -225,7 +226,7 @@ ALLOWLIST = {
         "the packet pool (or a bounded local options buffer)",
     # Name-merge artifacts of `serialize`: the Ipv4 frame serialiser on the
     # transmit path merges with these protocol serialisers, which run on
-    # the management / ICMP / replica-ACK planes, not the TCP fast path.
+    # the management / ICMP / replica-ACK planes, not the TCP datapath.
     # Each reserve sizes a message buffer once before appending.
     ("src/ftcp/ack_channel.cpp", "serialize", "reserve"):
         "ACK-channel message serialiser (replica control plane, reached "
