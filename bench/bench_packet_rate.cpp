@@ -64,8 +64,6 @@ struct ScenarioResult {
   // Scheduler telemetry (delta over the scenario): entries spilled from
   // the staging buffer into the heap.
   std::uint64_t wheel_inserts = 0;
-  // ft-TCP gate-cache telemetry (zero for the UDP scenarios).
-  std::uint64_t gate_cached_checks = 0;
   // Causal-tracer overhead probe (0 = tracing not installed).
   std::size_t trace_sample = 0;
   std::uint64_t spans_recorded = 0;
@@ -181,7 +179,7 @@ ScenarioResult run_scenario(const std::string& name, int backups,
 /// Streams `total_bytes` over TCP in 1024-byte writes — plain one-hop for
 /// backups < 0, an ft-TCP chain through the redirector otherwise — and
 /// counts wire segments per wall second: the TCP input path's in-order
-/// deposit and the ftcp gate cache under bulk load.
+/// deposit and the ftcp gates under bulk load.
 ScenarioResult run_tcp_scenario(const std::string& name, int backups,
                                 std::size_t total_bytes,
                                 std::size_t trace_sample = 0) {
@@ -241,7 +239,6 @@ ScenarioResult run_tcp_scenario(const std::string& name, int backups,
       result.wall_seconds > 0
           ? static_cast<double>(result.packets) / result.wall_seconds
           : 0;
-  result.gate_cached_checks = registry.total("ftcp.gate.cached_checks");
   const DatapathCounters& dp = datapath_counters();
   result.copies = dp.copies;
   result.copied_bytes = dp.copied_bytes;
@@ -482,10 +479,6 @@ void write_json(const std::vector<ScenarioResult>& results,
     std::fprintf(f, "        \"spans_recorded\": %llu\n",
                  static_cast<unsigned long long>(r.spans_recorded));
     std::fprintf(f, "      },\n");
-    std::fprintf(f, "      \"tcp\": {\n");
-    std::fprintf(f, "        \"gate_cached_checks\": %llu\n",
-                 static_cast<unsigned long long>(r.gate_cached_checks));
-    std::fprintf(f, "      },\n");
     std::fprintf(f, "      \"redirector\": {\n");
     std::fprintf(f, "        \"redirected_datagrams\": %llu,\n",
                  static_cast<unsigned long long>(r.redirected));
@@ -558,7 +551,7 @@ int main(int argc, char** argv) {
         "%-22s replicas=%d packets=%zu wall=%.3fs rate=%.0f pkt/s "
         "copied=%lluB (naive fan-out would copy %lluB) "
         "inner_serializations=%llu sched_heap=%llu "
-        "wheel=%llu gate_cached=%llu"
+        "wheel=%llu"
         "%s\n",
         r.name.c_str(), r.replicas, r.packets, r.wall_seconds,
         r.packets_per_wall_second,
@@ -567,7 +560,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.inner_serializations),
         static_cast<unsigned long long>(r.scheduler_heap_fallbacks),
         static_cast<unsigned long long>(r.wheel_inserts),
-        static_cast<unsigned long long>(r.gate_cached_checks),
         r.trace_sample > 0
             ? (" trace_sample=" + std::to_string(r.trace_sample) + " spans=" +
                std::to_string(r.spans_recorded))

@@ -199,11 +199,7 @@ std::uint32_t ReplicatedService::transmit_limit(
 bool ReplicatedService::gate_marks(const tcp::TcpConnection& connection,
                                    tcp::GateMarks& out) {
   // Mirror of deposit_limit()/transmit_limit() without the stall-tracking
-  // side effects: the marks the gates would clamp to right now.  The
-  // snapshot stays correct until the next successor report or
-  // reconfiguration, each of which invalidates the connection's cache
-  // (on_gate_update / set_hooks).
-  out.cached_checks = &gate_stats_.cached_checks;
+  // side effects: the marks the gates would clamp to right now.
   if (!successor_) {  // last in the chain: gates never bind
     out.deposit_unbounded = true;
     out.transmit_unbounded = true;
@@ -324,10 +320,6 @@ void ReplicatedService::raise_failure_signal(tcp::TcpConnection& connection,
       (!state.has_info || connection.undeposited_in_order() > 0 ||
        net::seq::lt(transmit_limit(connection, connection.snd_nxt_wire() + 1),
                     connection.snd_nxt_wire() + 1));
-  // That transmit_limit() probe may have opened a stall interval behind
-  // the connection's cached gate snapshot; force the next check back onto
-  // the authoritative path so the interval closes at the right time.
-  connection.invalidate_gate_cache();
   HLOG(warn, kLog) << host_.name() << " failure signal on "
                    << signal.connection.to_string()
                    << (signal.blocked_on_successor ? " (blocked on successor)"

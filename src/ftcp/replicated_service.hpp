@@ -126,9 +126,6 @@ class ReplicatedService final : public tcp::TcpConnectionHooks {
   struct GateStats {
     std::uint64_t deposit_stalls = 0;  ///< deposit gate closed (count)
     std::uint64_t send_stalls = 0;     ///< send gate closed (count)
-    /// Gate checks served from the connections' cached GateMarks snapshot
-    /// (a single integer compare) instead of re-deriving chain state here.
-    std::uint64_t cached_checks = 0;
     stats::Histogram deposit_stall_ms{stats::stall_ms_buckets()};
     stats::Histogram send_stall_ms{stats::stall_ms_buckets()};
   };

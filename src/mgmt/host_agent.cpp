@@ -132,7 +132,6 @@ void HostAgent::publish_metrics(stats::Registry& registry) const {
   // Gate behaviour summed over this host's replicas (one per service).
   std::uint64_t deposit_stalls = 0;
   std::uint64_t send_stalls = 0;
-  std::uint64_t cached_checks = 0;
   std::uint64_t failure_signals = 0;
   stats::Histogram deposit_ms{stats::stall_ms_buckets()};
   stats::Histogram send_ms{stats::stall_ms_buckets()};
@@ -140,14 +139,12 @@ void HostAgent::publish_metrics(stats::Registry& registry) const {
     const auto& gates = replica->gate_stats();
     deposit_stalls += gates.deposit_stalls;
     send_stalls += gates.send_stalls;
-    cached_checks += gates.cached_checks;
     failure_signals += replica->failure_signals_raised();
     deposit_ms.merge(gates.deposit_stall_ms);
     send_ms.merge(gates.send_stall_ms);
   }
   registry.set_counter(node, "ftcp.deposit_gate_stalls", deposit_stalls);
   registry.set_counter(node, "ftcp.send_gate_stalls", send_stalls);
-  registry.set_counter(node, "ftcp.gate.cached_checks", cached_checks);
   registry.set_counter(node, "ftcp.failure_signals", failure_signals);
   registry.set_histogram(node, "ftcp.deposit_gate_stall_ms", deposit_ms);
   registry.set_histogram(node, "ftcp.send_gate_stall_ms", send_ms);

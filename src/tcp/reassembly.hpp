@@ -2,9 +2,11 @@
 //
 // Works in 64-bit *stream offsets* (bytes since the initial sequence
 // number) rather than raw 32-bit sequence numbers, so ordering is total.
-// In ft-TCP this buffer doubles as the staging area for data that has
-// arrived but may not yet be *deposited* into the application socket
-// buffer (the acknowledgement-channel gate of §4.3).
+// The buffer keeps only *islands*: bytes that arrived past a gap.  Every
+// in-order byte lives in the connection's receive ring, including the
+// bytes the ft-TCP deposit gate still holds behind RCV.NXT (§4.3), so
+// inserts are based at the ring's tail and drain_into() moves whatever a
+// filled hole made contiguous onto that ring.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/ring_queue.hpp"
 
 namespace hydranet::tcp {
 
@@ -28,23 +31,20 @@ class ReassemblyBuffer {
   InsertResult insert(std::uint64_t off, BytesView data, std::uint64_t base,
                       std::uint64_t window_end);
 
-  /// Highest offset such that [base, result) is contiguously buffered.
-  std::uint64_t in_order_end(std::uint64_t base) const;
+  /// Appends the chunks that continue the stream at `base` to `ring`, in
+  /// order and whole, and returns how many bytes moved (0 while a gap is
+  /// still open at `base`).
+  std::size_t drain_into(std::uint64_t base, RingQueue<std::uint8_t>& ring);
 
-  /// Removes and returns bytes [base, limit); requires that range to be
-  /// contiguously buffered (limit <= in_order_end(base)).
-  Bytes extract(std::uint64_t base, std::uint64_t limit);
-
-  /// Total bytes currently buffered (for window accounting).
+  /// Total bytes currently buffered.
   std::size_t buffered() const { return bytes_; }
 
-  /// Received ranges that are NOT contiguous with `base` (i.e., isolated
-  /// islands beyond the first gap), merged and ascending — the material
-  /// for SACK blocks.  Contiguously-staged data is deliberately excluded:
-  /// in ft-TCP it is held by the deposit gate and must look unreceived to
-  /// the client, or the failure estimator loses its retransmission signal.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks_beyond(
-      std::uint64_t base, std::size_t max_blocks) const;
+  /// The islands, merged and ascending, at most `max_blocks` of them — the
+  /// material for SACK blocks.  Bytes the deposit gate holds sit in the
+  /// receive ring, never here, so they look unreceived to the client and
+  /// the failure estimator keeps its retransmission signal.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks(
+      std::size_t max_blocks) const;
 
   bool empty() const { return chunks_.empty(); }
   void clear();

@@ -105,9 +105,10 @@ std::size_t TcpConnection::advertised_window() const {
   // Out-of-order bytes beyond rcv_nxt do NOT shrink the window: they lie
   // inside the range the window already granted (shrinking it per OOO
   // arrival would make every duplicate ACK carry a different window and
-  // defeat fast-retransmit detection, RFC 5681).  Only consumed-but-unread
-  // data and in-order staged data (the ft-TCP deposit gate) take space.
-  std::size_t used = readable_.size() + undeposited_in_order();
+  // defeat fast-retransmit detection, RFC 5681).  Only the receive ring
+  // takes space: deposited-but-unread data and the in-order bytes the
+  // ft-TCP deposit gate holds at its tail.
+  std::size_t used = readable_.size();
   std::size_t free_space =
       options_.recv_buffer_capacity > used
           ? options_.recv_buffer_capacity - used
@@ -164,7 +165,8 @@ Result<std::size_t> TcpConnection::send(BytesView data) {
 }
 
 Result<Bytes> TcpConnection::recv(std::size_t max) {
-  if (readable_.empty()) {
+  const std::size_t available = readable_bytes();
+  if (available == 0) {
     if (fin_received_ && rcv_nxt_ > peer_fin_off_) {
       eof_delivered_ = true;
       return Bytes{};  // EOF
@@ -173,7 +175,7 @@ Result<Bytes> TcpConnection::recv(std::size_t max) {
     return Errc::would_block;
   }
   std::size_t before_window = advertised_window();
-  std::size_t n = std::min(max, readable_.size());
+  std::size_t n = std::min(max, available);
   Bytes out;
   readable_.copy_range(0, n, out);
   readable_.pop_front(n);
@@ -353,20 +355,15 @@ void TcpConnection::check_stream_invariants(std::uint64_t rcv_nxt_before,
                key_.to_string().c_str(),
                static_cast<unsigned long long>(rcv_nxt_before),
                static_cast<unsigned long long>(rcv_nxt_));
-  HN_INVARIANT(tcp_stream,
-               readable_.size() + undeposited_in_order() <=
-                   options_.recv_buffer_capacity,
+  HN_INVARIANT(tcp_stream, readable_.size() <= options_.recv_buffer_capacity,
                "receive buffer overrun on %s: %zu buffered > %zu capacity",
-               key_.to_string().c_str(),
-               readable_.size() + undeposited_in_order(),
+               key_.to_string().c_str(), readable_.size(),
                options_.recv_buffer_capacity);
 }
 
 void TcpConnection::check_gate_invariants() {
-  // Re-derive the authoritative gate marks (side-effect-free mirror of the
-  // deposit/transmit limits) and confirm neither stream ran past them: a
-  // cached GateMarks snapshot may skip hook calls but must never be
-  // *looser* than the gate it mirrors.
+  // Re-derive the gate marks (the side-effect-free mirror of the
+  // deposit/transmit limits) and confirm neither stream ran past them.
   if (hooks_ == nullptr || state_ == TcpState::closed) return;
   GateMarks fresh;
   if (!hooks_->gate_marks(*this, fresh)) return;
@@ -388,13 +385,8 @@ void TcpConnection::check_gate_invariants() {
                key_.to_string().c_str());
 }
 
-void TcpConnection::test_corrupt_gate_cache() {
-  gate_marks_.transmit_unbounded = true;
-  gate_marks_.cached_checks = nullptr;
-  transmit_cache_valid_ = true;
-}
-
 void TcpConnection::test_deposit_out_of_window(std::size_t len) {
+  if (held_ > 0) return;
   const std::uint64_t rcv_nxt_before = rcv_nxt_;
   readable_.append_fill(len, std::uint8_t{0});
   rcv_nxt_ += len;
@@ -411,6 +403,18 @@ void TcpConnection::test_deposit_past_gate(std::size_t len) {
   rcv_nxt_ = std::max(rcv_nxt_, seq_to_off_rcv(marks.deposit_mark)) + len;
   check_gate_invariants();
   rcv_nxt_ = rcv_nxt;
+}
+
+void TcpConnection::test_send_past_gate(std::size_t len) {
+  GateMarks marks;
+  if (hooks_ == nullptr || !hooks_->gate_marks(*this, marks) ||
+      marks.transmit_unbounded) {
+    return;
+  }
+  const std::uint64_t snd_nxt = snd_nxt_;
+  snd_nxt_ = std::max(snd_nxt_, seq_to_off_snd(marks.transmit_mark)) + len;
+  check_gate_invariants();
+  snd_nxt_ = snd_nxt;
 }
 
 void TcpConnection::test_forge_page_deadline(sim::TimePoint forged) {
@@ -689,29 +693,44 @@ void TcpConnection::process_payload(const net::TcpSegment& segment) {
   }
   std::uint64_t seq_off = seq_to_off_rcv(segment.header.seq);
   std::uint64_t rcv_before = rcv_nxt_;
-  if (seq_off == rcv_nxt_ && reassembly_.empty()) {
-    // The common case: in order with nothing staged, so no hole and no
-    // duplicate.  The bytes go straight from the segment to readable_, and
-    // the deposit acks what the gate lets through.
-    deposit_in_order(segment.payload);
-  } else {
-    // Does this arrival land beyond the contiguous staged extent (i.e., a
-    // real hole exists)?  Decided before the insert mutates the buffer.
-    bool creates_island = seq_off > reassembly_.in_order_end(rcv_nxt_);
+  // The ring's tail: every byte below it is in order, deposited or held.
+  const std::uint64_t in_end = rcv_nxt_ + held_;
+  if (seq_off == in_end && reassembly_.empty()) {
+    // The common case: in order with no islands, so no hole and no
+    // duplicate.  The in-window bytes go onto the ring once; the deposit
+    // below moves RCV.NXT over as many as the gate allows.
+    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        segment.payload.size(), acceptance_window_end() - in_end));
     HN_EFFECT_ESCAPE(
-        "out-of-order staging: a segment that misses RCV.NXT (a hole or a "
-        "retransmission) or arrives behind bytes the deposit gate holds")
-    auto result = reassembly_.insert(seq_off, segment.payload, rcv_nxt_,
+        "receive-ring append: RingQueue grows by power-of-two doubling and "
+        "retains capacity across reads, so a flow's steady state writes in "
+        "place")
+    readable_.append(segment.payload.begin(), segment.payload.begin() + n);
+    HN_EFFECT_ESCAPE_END()
+    held_ += n;
+  } else {
+    // Does this arrival land beyond the ring's tail (i.e., a real hole
+    // exists)?
+    bool creates_island = seq_off > in_end;
+    HN_EFFECT_ESCAPE(
+        "out-of-order staging: a segment that misses the receive ring's "
+        "tail (a hole or a retransmission)")
+    auto result = reassembly_.insert(seq_off, segment.payload, in_end,
                                      acceptance_window_end());
     HN_EFFECT_ESCAPE_END()
-    if (result == ReassemblyBuffer::InsertResult::duplicate) {
+    held_ += reassembly_.drain_into(in_end, readable_);
+    // A retransmission that overlaps held bytes and runs past a full
+    // window is old data too: only its unseen tail lies out of window.
+    if (result == ReassemblyBuffer::InsertResult::duplicate ||
+        (result == ReassemblyBuffer::InsertResult::out_of_window &&
+         seq_off < in_end && held_ > 0)) {
       stats_.duplicate_segments_seen++;
       if (hooks_) hooks_->on_client_retransmission(*this);
     }
     // Stock TCP acknowledges every data segment immediately.  A gated
     // (ft-TCP) connection must NOT ack held-back IN-ORDER data: §4.3 has
     // the primary reply "once it receives the data and the acknowledgment
-    // information for that data from S1".  Acking staged in-order data
+    // information for that data from S1".  Acking held in-order data
     // would emit byte-identical duplicate ACKs and trip the client's fast
     // retransmit on a perfectly healthy chain; a stalled gate must surface
     // as a client timeout — the estimator's signal.  A GENUINE hole is the
@@ -719,8 +738,8 @@ void TcpConnection::process_payload(const net::TcpSegment& segment) {
     // duplicate ACK (with SACK islands, if negotiated) is exactly what lets
     // the client fast-retransmit instead of burning a full RTO per loss.
     if (hooks_ == nullptr || creates_island) ack_pending_ = true;
-    deposit_in_order();
   }
+  deposit_in_order();
 
   if (hooks_ == nullptr && options_.delayed_ack && rcv_nxt_ > rcv_before &&
       reassembly_.buffered() == 0 && !fin_received_) {
@@ -743,14 +762,8 @@ void TcpConnection::process_payload(const net::TcpSegment& segment) {
   }
 }
 
-void TcpConnection::deposit_in_order(BytesView arriving) {
-  // Arriving bytes end at the granted window's edge (the clip the
-  // reassembly buffer applies to everything it stages).
-  std::uint64_t in_end =
-      arriving.empty()
-          ? reassembly_.in_order_end(rcv_nxt_)
-          : std::min<std::uint64_t>(rcv_nxt_ + arriving.size(),
-                                    acceptance_window_end());
+void TcpConnection::deposit_in_order() {
+  const std::uint64_t in_end = rcv_nxt_ + held_;
   // The peer's FIN is the last "byte" of the stream for gating purposes.
   std::uint64_t logical_end =
       (fin_received_ && in_end == peer_fin_off_) ? in_end + 1 : in_end;
@@ -762,31 +775,8 @@ void TcpConnection::deposit_in_order(BytesView arriving) {
   }
 
   std::uint64_t data_limit = std::max(std::min(limit, in_end), rcv_nxt_);
-  const std::size_t open = static_cast<std::size_t>(data_limit - rcv_nxt_);
-  if (!arriving.empty() && in_end > data_limit) {
-    // Stage what the gate holds back before the readable callback can
-    // look at the receive window.
-    HN_EFFECT_ESCAPE(
-        "gate-held staging: only the part of an in-order segment the ft-TCP "
-        "deposit gate holds back until the successor's ACK report")
-    reassembly_.insert(data_limit,
-                       arriving.subspan(open, static_cast<std::size_t>(
-                                                  in_end - data_limit)),
-                       data_limit, in_end);
-    HN_EFFECT_ESCAPE_END()
-  }
-  if (open > 0) {
-    HN_EFFECT_ESCAPE(
-        "receive-ring append: RingQueue grows by power-of-two doubling and "
-        "retains capacity across reads, so a flow's steady state writes in "
-        "place; the staged drain runs once per gate report or repaired hole")
-    if (arriving.empty()) {
-      Bytes data = reassembly_.extract(rcv_nxt_, data_limit);
-      readable_.append(data.begin(), data.end());
-    } else {
-      readable_.append(arriving.begin(), arriving.begin() + open);
-    }
-    HN_EFFECT_ESCAPE_END()
+  if (data_limit > rcv_nxt_) {
+    held_ -= static_cast<std::size_t>(data_limit - rcv_nxt_);
     rcv_nxt_ = data_limit;
     ack_pending_ = true;
     notify_readable();
@@ -853,23 +843,9 @@ void TcpConnection::output() {
   std::size_t usable = std::min(cwnd_, snd_wnd_);
   std::uint64_t limit = snd_una_ + usable;
   if (hooks_) {
-    bool cache_hit =
-        transmit_cache_valid_ &&
-        (gate_marks_.transmit_unbounded ||
-         seq_to_off_snd(gate_marks_.transmit_mark) >= limit);
-    if (cache_hit) {
-      // Send gate provably open up to the window limit: single compare.
-      if (gate_marks_.cached_checks) ++*gate_marks_.cached_checks;
-    } else {
-      std::uint32_t wire_limit =
-          hooks_->transmit_limit(*this, off_to_seq_snd(limit));
-      std::uint64_t hook_limit = seq_to_off_snd(wire_limit);
-      // Same rule as the deposit side: only a non-binding gate may be
-      // cached (no open stall interval the cache could mask).
-      transmit_cache_valid_ =
-          hook_limit >= limit && hooks_->gate_marks(*this, gate_marks_);
-      limit = std::min(limit, hook_limit);
-    }
+    std::uint32_t wire_limit =
+        hooks_->transmit_limit(*this, off_to_seq_snd(limit));
+    limit = std::min(limit, seq_to_off_snd(wire_limit));
   }
 
   bool sent_any = false;
@@ -965,10 +941,10 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
     h.mss_option = static_cast<std::uint16_t>(options_.mss);
     h.sack_permitted = options_.sack;
   } else if (ack && sack_enabled_) {
-    // Report isolated islands beyond the first gap (never the in-order
-    // staged prefix — see ReassemblyBuffer::blocks_beyond).
+    // Report the islands beyond the first gap (never the in-order bytes
+    // the deposit gate holds — see ReassemblyBuffer::blocks).
     for (const auto& [left, right] :
-         reassembly_.blocks_beyond(rcv_nxt_, net::TcpHeader::kMaxSackBlocks)) {
+         reassembly_.blocks(net::TcpHeader::kMaxSackBlocks)) {
       HN_EFFECT_ESCAPE(
           "SACK block list: bounded by kMaxSackBlocks entries and only "
           "built while the reassembly queue has gaps — the out-of-order "
@@ -1268,7 +1244,6 @@ bool TcpConnection::retransmit_next_hole() {
 
 void TcpConnection::on_gate_update() {
   if (state_ == TcpState::closed) return;
-  invalidate_gate_cache();  // successor state moved; re-snapshot via hooks
   deposit_in_order();
   output();
 }

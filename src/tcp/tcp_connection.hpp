@@ -70,8 +70,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// means EOF (peer closed); would_block means no data yet.
   Result<Bytes> recv(std::size_t max);
 
-  /// Bytes available to recv() right now.
-  std::size_t readable_bytes() const { return readable_.size(); }
+  /// Bytes available to recv() right now: the ring up to RCV.NXT.
+  std::size_t readable_bytes() const { return readable_.size() - held_; }
   /// Free space in the send buffer.
   std::size_t send_capacity() const;
   /// True once the peer's FIN has been consumed (EOF delivered).
@@ -136,27 +136,15 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   }
 
   /// Bytes that arrived in order but are held back from the application
-  /// socket buffer by the ft-TCP deposit gate (zero on stock connections).
-  std::size_t undeposited_in_order() const {
-    return static_cast<std::size_t>(reassembly_.in_order_end(rcv_nxt_) -
-                                    rcv_nxt_);
-  }
+  /// by the ft-TCP deposit gate (zero on stock connections).  They wait at
+  /// the receive ring's tail, past RCV.NXT.
+  std::size_t undeposited_in_order() const { return held_; }
 
   // ---- ft-TCP interface (used by the hydranet::ftcp layer) --------------
 
   /// Installs/replaces the gating hooks (nullptr restores stock TCP).
-  void set_hooks(TcpConnectionHooks* hooks) {
-    hooks_ = hooks;
-    invalidate_gate_cache();
-  }
+  void set_hooks(TcpConnectionHooks* hooks) { hooks_ = hooks; }
   TcpConnectionHooks* hooks() const { return hooks_; }
-
-  /// Drops the cached gate snapshot; the next gate check goes back to the
-  /// authoritative hook (which re-snapshots).  Called by the ftcp layer
-  /// whenever anything that feeds the gates changes — successor reports,
-  /// reconfiguration, or an out-of-band transmit_limit() probe whose
-  /// stall-tracking side effects the cache must not mask.
-  void invalidate_gate_cache() { transmit_cache_valid_ = false; }
 
   /// Re-evaluates the deposit and transmit gates; called when the
   /// acknowledgement channel delivers fresh successor state.
@@ -173,18 +161,20 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t seq_to_off_rcv(std::uint32_t seq) const;
 
 #if HYDRANET_INVARIANTS
-  /// Negative-test hook: forges an unbounded cached gate snapshot so
-  /// output() skips the authoritative send gate — the stale-cache
-  /// corruption the gate_send invariant exists to catch.
-  void test_corrupt_gate_cache();
   /// Negative-test hook: deposits `len` fabricated bytes past the granted
-  /// window, then runs the post-segment stream checks (tcp_stream).
+  /// window, then runs the post-segment stream checks (tcp_stream).  Does
+  /// nothing while the deposit gate holds bytes, since it appends at the
+  /// receive ring's tail.
   void test_deposit_out_of_window(std::size_t len);
   /// Negative-test hook: moves the deposited extent `len` bytes past the
   /// successor's ACK mark (a gate-bound connection only), runs the
   /// post-deposit gate checks (gate_deposit), then moves it back so the
   /// connection carries on unharmed.
   void test_deposit_past_gate(std::size_t len);
+  /// Negative-test hook: moves the transmitted extent `len` bytes past the
+  /// successor's SEQ mark (a gate-bound connection only), runs the gate
+  /// checks (gate_send), then moves it back.
+  void test_send_past_gate(std::size_t len);
   /// Negative-test hook: overwrites this connection's cached page-tick
   /// deadline with `forged` without touching its inputs — the missed
   /// rewrite the page tick's sched_order check exists to catch.
@@ -204,8 +194,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void start_passive(std::uint32_t iss, const net::TcpSegment& syn);
   /// The one TCP input path: every segment for this connection.
   /// Hot-path effect root (DESIGN.md §12): allocation-free against warm
-  /// pools and receive rings, no locks, no I/O; loss recovery, reordering
-  /// and gate-held staging are escaped cold paths.
+  /// pools and receive rings, no locks, no I/O; loss recovery and
+  /// reordering are escaped cold paths.
   void on_segment(const net::TcpSegment& segment) HN_NONBLOCKING;
 
   // Segment processing helpers.
@@ -213,8 +203,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Post-segment stream sanity.
   void check_stream_invariants(std::uint64_t rcv_nxt_before,
                                std::uint64_t snd_una_before) const;
-  /// Confirms neither stream ran past the authoritative gate marks (the
-  /// cached GateMarks snapshot must never be looser than the gate).
+  /// Confirms neither stream ran past the marks the gates clamp to.
   void check_gate_invariants();
 #endif
   void process_syn_sent(const net::TcpSegment& segment);
@@ -222,12 +211,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool sequence_acceptable(const net::TcpSegment& segment) const;
   void process_ack(const net::TcpSegment& segment);
   void process_payload(const net::TcpSegment& segment);
-  /// Moves the in-order bytes the deposit gate allows into readable_.
-  /// `arriving` is the payload of a segment that starts at rcv_nxt_ while
-  /// nothing is staged: its in-window bytes are appended straight from
-  /// the segment and only a remainder the gate holds is staged.  Empty:
-  /// deposit from the reassembly buffer.
-  void deposit_in_order(BytesView arriving = {});
+  /// Moves RCV.NXT over the held bytes as far as the deposit gate allows.
+  void deposit_in_order();
   void maybe_consume_fin();
 
   // Output path.
@@ -311,14 +296,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // (src/trace2).
   std::uint64_t trace_root_ctx_ = 0;
 
-  // --- cached ft-TCP gate snapshot (see GateMarks) ---
-  // output() reads its transmit side, valid only when the last
-  // authoritative send-gate call was non-binding (so no stall interval is
-  // open that a skipped call could fail to close); it is dropped on every
-  // gate update.
-  GateMarks gate_marks_{};
-  bool transmit_cache_valid_ = false;
-
   // --- send state (offsets are bytes since ISS; SYN occupies offset 0,
   //     data starts at offset 1, FIN occupies the offset after the data) ---
   std::uint32_t iss_ = 0;
@@ -336,10 +313,13 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   // --- receive state (offsets are bytes since IRS, same convention) ---
   std::uint32_t irs_ = 0;
-  std::uint64_t rcv_nxt_ = 0;   ///< next expected offset (deposited extent)
+  std::uint64_t rcv_nxt_ = 0;   ///< deposited extent (what we acknowledge)
   std::uint64_t rcv_granted_ = 0;  ///< right edge of the window ever granted
-  ReassemblyBuffer reassembly_; ///< arrived, possibly not yet deposited
+  ReassemblyBuffer reassembly_; ///< islands past the first gap
+  /// Every in-order byte not yet read: the deposited ones, then the
+  /// `held_` bytes the deposit gate keeps behind RCV.NXT at the tail.
   RingQueue<std::uint8_t> readable_;
+  std::size_t held_ = 0;
   bool fin_received_ = false;
   std::uint64_t peer_fin_off_ = 0;  ///< offset of the peer's FIN
   bool eof_delivered_ = false;

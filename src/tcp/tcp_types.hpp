@@ -114,23 +114,18 @@ struct TcpOptions {
 
 class TcpConnection;
 
-/// Snapshot of an ft-TCP gate's state.  The connection caches it so its
-/// send-gate check in output() is a single integer compare instead of a
-/// virtual call re-deriving chain state per segment; the invariant checks
-/// re-derive a fresh one to audit both streams.  The marks are the
-/// successor high-water sequence numbers the gates would clamp to;
+/// The §4.3 gates as stream positions: the successor high-water sequence
+/// numbers the deposit and send gates would clamp to right now, read
+/// without the stall tracking deposit_limit()/transmit_limit() do.  The
+/// connection's invariant checks audit both streams against it (see
+/// TcpConnection::check_gate_invariants), and nothing else reads it.
 /// `unbounded` means the gate cannot bind at all (last in chain, or
-/// pass-through).  The cached snapshot stays valid until the owning
-/// service invalidates it (successor report, reconfiguration) — see
-/// TcpConnection::invalidate_gate_cache().
+/// pass-through).
 struct GateMarks {
   std::uint32_t deposit_mark = 0;   ///< wire seq; deposit byte k iff k < mark
   std::uint32_t transmit_mark = 0;  ///< wire seq; send byte k iff k < mark
   bool deposit_unbounded = false;
   bool transmit_unbounded = false;
-  /// Bumped by the connection each time a gate check is served from this
-  /// snapshot (the service's ftcp.gate.cached_checks counter).
-  std::uint64_t* cached_checks = nullptr;
 };
 
 /// ft-TCP extension points, installed per replicated port.
@@ -186,10 +181,8 @@ class TcpConnectionHooks {
   HN_SHARD_AFFINE virtual void on_connection_closed(
       TcpConnection& connection) = 0;
 
-  /// Fills `out` with a cacheable snapshot of the current gate state and
-  /// returns true.  Implementations that cannot provide a stable snapshot
-  /// return false (the default), which keeps every gate check on the
-  /// authoritative deposit_limit()/transmit_limit() path.
+  /// Fills `out` with the current gate marks and returns true.  The
+  /// default returns false, which skips the connection's gate audits.
   HN_SHARD_AFFINE virtual bool gate_marks(const TcpConnection& connection,
                                           GateMarks& out) {
     (void)connection;

@@ -311,7 +311,7 @@ TEST_F(InvariantTest, TaintedServiceFlowFiresBackupLeakAtTheRedirector) {
   EXPECT_EQ(collector.count(Category::backup_silence), 0u);
 }
 
-TEST_F(InvariantTest, StaleGateCacheFiresGateDepositAndGateSend) {
+TEST_F(InvariantTest, GateOverrunsFireGateDepositAndGateSend) {
   FtFixture fx(2);
   const std::size_t total = 600000;
   auto client = fx.client.tcp().connect(net::Ipv4Address(), fx.service);
@@ -346,27 +346,12 @@ TEST_F(InvariantTest, StaleGateCacheFiresGateDepositAndGateSend) {
   ASSERT_EQ(fx.servers[0].conn->state(), tcp::TcpState::established);
   EXPECT_EQ(total_violations(), 0u);
 
-  // Every deposit asks the authoritative deposit gate, so no cache can
-  // carry the primary past the successor's ACK mark; fabricate that
+  // Every deposit and every output() asks the authoritative gate, so no
+  // path carries the primary past its successor's marks; fabricate each
   // overrun directly for check_gate_invariants() to catch.
   ScopedCollector collector;
   fx.servers[0].conn->test_deposit_past_gate(1);
-
-  // Forge an unbounded cached send-gate snapshot on the primary's
-  // connection, re-forging on a timer because every successor report
-  // legitimately drops the cache.  While forged, output() transmits ahead
-  // of the successor's reported SEQ mark — the stale-cache overrun
-  // check_gate_invariants() re-derives after the next deposit and catches.
-  std::function<void()> corrupt = [&] {
-    if (conn->state() == tcp::TcpState::closed) return;
-    if (fx.servers[0].conn != nullptr &&
-        fx.servers[0].conn->state() == tcp::TcpState::established) {
-      fx.servers[0].conn->test_corrupt_gate_cache();
-    }
-    fx.net.scheduler().schedule_after(sim::microseconds(200), corrupt);
-  };
-  corrupt();
-  fx.net.run_for(sim::seconds(10));
+  fx.servers[0].conn->test_send_past_gate(1);
 
   EXPECT_GE(collector.count(Category::gate_deposit), 1u);
   EXPECT_GE(collector.count(Category::gate_send), 1u);

@@ -1,4 +1,5 @@
-// Unit and property tests for the TCP reassembly/staging buffer.
+// Unit and property tests for the TCP reassembly buffer (islands past a
+// gap, drained onto a receive ring once the gap fills).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,23 +18,32 @@ Bytes bytes_of(std::initializer_list<int> values) {
   return out;
 }
 
+/// The ring's contents, front to back.
+Bytes contents(const RingQueue<std::uint8_t>& ring) {
+  Bytes out;
+  ring.copy_range(0, ring.size(), out);
+  return out;
+}
+
 TEST(Reassembly, InOrderInsertAndExtract) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   EXPECT_EQ(buffer.insert(0, bytes_of({1, 2, 3}), 0, 100), Insert::new_data);
-  EXPECT_EQ(buffer.in_order_end(0), 3u);
-  Bytes out = buffer.extract(0, 3);
-  EXPECT_EQ(out, bytes_of({1, 2, 3}));
+  EXPECT_EQ(buffer.drain_into(0, ring), 3u);
+  EXPECT_EQ(contents(ring), bytes_of({1, 2, 3}));
   EXPECT_EQ(buffer.buffered(), 0u);
 }
 
 TEST(Reassembly, GapBlocksInOrderEnd) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   EXPECT_EQ(buffer.insert(5, bytes_of({6, 7}), 0, 100), Insert::new_data);
-  EXPECT_EQ(buffer.in_order_end(0), 0u);
+  EXPECT_EQ(buffer.drain_into(0, ring), 0u);
+  EXPECT_TRUE(ring.empty());
   EXPECT_EQ(buffer.insert(0, bytes_of({1, 2, 3, 4, 5}), 0, 100),
             Insert::new_data);
-  EXPECT_EQ(buffer.in_order_end(0), 7u);
-  EXPECT_EQ(buffer.extract(0, 7), bytes_of({1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(buffer.drain_into(0, ring), 7u);
+  EXPECT_EQ(contents(ring), bytes_of({1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Reassembly, ExactDuplicateIsReported) {
@@ -45,12 +55,13 @@ TEST(Reassembly, ExactDuplicateIsReported) {
 
 TEST(Reassembly, DataBelowBaseIsDuplicate) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   EXPECT_EQ(buffer.insert(0, bytes_of({1, 2}), 5, 100), Insert::duplicate);
   // Straddling base: the old part is trimmed, the new part stored.
   EXPECT_EQ(buffer.insert(3, bytes_of({4, 5, 6, 7}), 5, 100),
             Insert::new_data);
-  EXPECT_EQ(buffer.in_order_end(5), 7u);
-  EXPECT_EQ(buffer.extract(5, 7), bytes_of({6, 7}));
+  EXPECT_EQ(buffer.drain_into(5, ring), 2u);
+  EXPECT_EQ(contents(ring), bytes_of({6, 7}));
 }
 
 TEST(Reassembly, DataBeyondWindowIsRejected) {
@@ -64,39 +75,37 @@ TEST(Reassembly, DataBeyondWindowIsRejected) {
 
 TEST(Reassembly, OverlappingSegmentsStoreEachByteOnce) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   EXPECT_EQ(buffer.insert(0, bytes_of({1, 2, 3, 4}), 0, 100),
             Insert::new_data);
   EXPECT_EQ(buffer.insert(2, bytes_of({3, 4, 5, 6}), 0, 100),
             Insert::new_data);
   EXPECT_EQ(buffer.buffered(), 6u);
-  EXPECT_EQ(buffer.in_order_end(0), 6u);
-  EXPECT_EQ(buffer.extract(0, 6), bytes_of({1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(buffer.drain_into(0, ring), 6u);
+  EXPECT_EQ(contents(ring), bytes_of({1, 2, 3, 4, 5, 6}));
 }
 
 TEST(Reassembly, InsertFillingAGapBridgesNeighbours) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   (void)buffer.insert(0, bytes_of({1, 2}), 0, 100);
   (void)buffer.insert(4, bytes_of({5, 6}), 0, 100);
-  EXPECT_EQ(buffer.in_order_end(0), 2u);
-  EXPECT_EQ(buffer.insert(2, bytes_of({3, 4}), 0, 100), Insert::new_data);
-  EXPECT_EQ(buffer.in_order_end(0), 6u);
-}
-
-TEST(Reassembly, PartialExtractLeavesTailAvailable) {
-  ReassemblyBuffer buffer;
-  (void)buffer.insert(0, bytes_of({1, 2, 3, 4, 5, 6}), 0, 100);
-  EXPECT_EQ(buffer.extract(0, 2), bytes_of({1, 2}));
-  EXPECT_EQ(buffer.buffered(), 4u);
-  EXPECT_EQ(buffer.in_order_end(2), 6u);
-  EXPECT_EQ(buffer.extract(2, 6), bytes_of({3, 4, 5, 6}));
+  // The drain stops at the gap and leaves the island buffered.
+  EXPECT_EQ(buffer.drain_into(0, ring), 2u);
+  EXPECT_EQ(buffer.buffered(), 2u);
+  EXPECT_EQ(buffer.insert(2, bytes_of({3, 4}), 2, 100), Insert::new_data);
+  EXPECT_EQ(buffer.drain_into(2, ring), 4u);
+  EXPECT_EQ(contents(ring), bytes_of({1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(buffer.empty());
 }
 
 TEST(Reassembly, ClearResets) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   (void)buffer.insert(0, bytes_of({1, 2, 3}), 0, 100);
   buffer.clear();
   EXPECT_EQ(buffer.buffered(), 0u);
-  EXPECT_EQ(buffer.in_order_end(0), 0u);
+  EXPECT_EQ(buffer.drain_into(0, ring), 0u);
 }
 
 // Property: random segmentations with duplication, reordering and overlap
@@ -141,21 +150,18 @@ TEST_P(ReassemblyProperty, RandomisedSegmentsReassembleExactly) {
   }
 
   ReassemblyBuffer buffer;
-  Bytes rebuilt;
+  RingQueue<std::uint8_t> ring;
   std::uint64_t base = 0;
   for (const Piece& piece : pieces) {
     BytesView view(stream.data() + piece.off, piece.len);
     (void)buffer.insert(piece.off, view, base, stream_len);
-    // Drain opportunistically, as TCP does.
-    std::uint64_t end = buffer.in_order_end(base);
-    if (end > base) {
-      Bytes chunk = buffer.extract(base, end);
-      rebuilt.insert(rebuilt.end(), chunk.begin(), chunk.end());
-      base = end;
-    }
+    // Drain after every insert, as TCP does: what stays behind is islands.
+    base += buffer.drain_into(base, ring);
+    auto islands = buffer.blocks(1);
+    ASSERT_TRUE(islands.empty() || islands.front().first > base);
   }
-  ASSERT_EQ(rebuilt.size(), stream_len);
-  EXPECT_EQ(rebuilt, stream);
+  ASSERT_EQ(ring.size(), stream_len);
+  EXPECT_EQ(contents(ring), stream);
   EXPECT_EQ(buffer.buffered(), 0u);
 }
 

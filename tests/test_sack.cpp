@@ -87,23 +87,26 @@ TEST(SackNegotiation, RequiresBothSides) {
 
 TEST(SackBlocks, IslandsAreReportedStagedPrefixIsNot) {
   ReassemblyBuffer buffer;
+  RingQueue<std::uint8_t> ring;
   Bytes chunk(100, 0xaa);
-  // Contiguous prefix [0, 100) staged at base 0 (as a gated replica would
-  // hold it), then islands [300,400) and [600,800).
+  // Contiguous prefix [0, 100) drains onto the receive ring (where a gated
+  // replica would hold it), then islands [300,400) and [600,800).
   (void)buffer.insert(0, chunk, 0, 10000);
-  (void)buffer.insert(300, chunk, 0, 10000);
-  (void)buffer.insert(600, chunk, 0, 10000);
-  (void)buffer.insert(700, chunk, 0, 10000);
+  ASSERT_EQ(buffer.drain_into(0, ring), 100u);
+  (void)buffer.insert(300, chunk, 100, 10000);
+  (void)buffer.insert(600, chunk, 100, 10000);
+  (void)buffer.insert(700, chunk, 100, 10000);
+  EXPECT_EQ(buffer.drain_into(100, ring), 0u);
 
-  auto blocks = buffer.blocks_beyond(0, 4);
+  auto blocks = buffer.blocks(4);
   ASSERT_EQ(blocks.size(), 2u);
   EXPECT_EQ(blocks[0], (std::pair<std::uint64_t, std::uint64_t>{300, 400}));
   EXPECT_EQ(blocks[1], (std::pair<std::uint64_t, std::uint64_t>{600, 800}));
 
   // Cap respected.
-  (void)buffer.insert(1000, chunk, 0, 10000);
-  (void)buffer.insert(1200, chunk, 0, 10000);
-  EXPECT_EQ(buffer.blocks_beyond(0, 2).size(), 2u);
+  (void)buffer.insert(1000, chunk, 100, 10000);
+  (void)buffer.insert(1200, chunk, 100, 10000);
+  EXPECT_EQ(buffer.blocks(2).size(), 2u);
 }
 
 TcpOptions sack_options() {

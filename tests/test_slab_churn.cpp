@@ -1,6 +1,6 @@
 // Slab-reuse correctness: connection churn recycles arena slots, and a
 // recycled slot must host a connection indistinguishable from one in a
-// fresh slot — no stale stats, timers, SACK scoreboard, gate cache, or
+// fresh slot — no stale stats, timers, SACK scoreboard, held bytes, or
 // trace context may leak from the slot's previous occupant.  Runs under
 // the asan-ubsan preset like every tier-1 test, so a dangling timer or
 // use-after-release in the recycling path is caught directly.

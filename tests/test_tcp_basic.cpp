@@ -321,7 +321,8 @@ TEST(TcpFlowControl, ZeroWindowStallsThenResumes) {
 }
 
 /// A deposit gate that opens at most `step` bytes past RCV.NXT per check
-/// and binds nothing else.
+/// and binds nothing else; it counts the client retransmissions the
+/// connection reports.
 class PrefixGate final : public TcpConnectionHooks {
  public:
   explicit PrefixGate(std::uint32_t step) : step_(step) {}
@@ -337,10 +338,14 @@ class PrefixGate final : public TcpConnectionHooks {
   bool filter_segment(TcpConnection&, const net::TcpSegment&) override {
     return true;
   }
-  void on_client_retransmission(TcpConnection&) override {}
+  void on_client_retransmission(TcpConnection&) override {
+    ++client_retransmissions;
+  }
   void on_retransmission_timeout(TcpConnection&) override {}
   void on_established(TcpConnection&) override {}
   void on_connection_closed(TcpConnection&) override {}
+
+  int client_retransmissions = 0;
 
  private:
   std::uint32_t step_;
@@ -354,6 +359,8 @@ TEST(TcpGate, HeldRemainderIsStagedBeforeTheReadableCallback) {
   pair.b.tcp().set_port_options(80, port);
   std::shared_ptr<TcpConnection> server;
   std::vector<std::pair<std::size_t, std::size_t>> seen;  // readable, held
+  Bytes first_read;
+  std::size_t held_after_read = 0;
   ASSERT_TRUE(pair.b.tcp()
                   .listen(net::Ipv4Address(), 80,
                           [&](std::shared_ptr<TcpConnection> c) {
@@ -362,6 +369,10 @@ TEST(TcpGate, HeldRemainderIsStagedBeforeTheReadableCallback) {
                               seen.emplace_back(
                                   server->readable_bytes(),
                                   server->undeposited_in_order());
+                              if (seen.size() > 1) return;
+                              auto data = server->recv(4096);
+                              if (data) first_read = data.value();
+                              held_after_read = server->undeposited_in_order();
                             });
                           })
                   .ok());
@@ -378,6 +389,66 @@ TEST(TcpGate, HeldRemainderIsStagedBeforeTheReadableCallback) {
   pair.net.run_for(sim::milliseconds(100));
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen.front(), std::make_pair(std::size_t{100}, std::size_t{900}));
+  // recv() stops at RCV.NXT: the held bytes share the receive ring but
+  // stay out of the application's reach.
+  EXPECT_EQ(first_read, ttcp_pattern(100, 0));
+  EXPECT_EQ(held_after_read, 900u);
+}
+
+TEST(TcpGate, RetransmissionOverHeldBytesPastAFullWindowIsADuplicate) {
+  Pair pair;
+  PrefixGate gate(0);  // holds every byte
+  TcpStack::PortOptions port;
+  port.hooks = &gate;
+  pair.b.tcp().set_port_options(80, port);
+  TcpOptions server_options;
+  server_options.recv_buffer_capacity = 1000;
+  std::shared_ptr<TcpConnection> server;
+  ASSERT_TRUE(pair.b.tcp()
+                  .listen(net::Ipv4Address(), 80,
+                          [&](std::shared_ptr<TcpConnection> c) {
+                            server = std::move(c);
+                          },
+                          server_options)
+                  .ok());
+  auto client =
+      pair.a.tcp().connect(net::Ipv4Address(), {ip(10, 0, 0, 2), 80}).value();
+  pair.net.run_for(sim::milliseconds(100));
+  ASSERT_NE(server, nullptr);
+
+  // Segments forged on the client's 4-tuple, `offset` bytes into its
+  // stream (the client's own send() would respect the window).
+  auto forge = [&](std::uint32_t offset, std::size_t len) {
+    net::TcpSegment segment;
+    segment.header.src_port = client->key().local.port;
+    segment.header.dst_port = 80;
+    segment.header.seq = client->snd_nxt_wire() + offset;
+    segment.header.ack = client->rcv_nxt_wire();
+    segment.header.ack_flag = true;
+    segment.header.window = 65535;
+    segment.payload = ttcp_pattern(len, offset);
+    net::Datagram d;
+    d.header.protocol = net::IpProto::tcp;
+    d.header.src = ip(10, 0, 0, 1);
+    d.header.dst = ip(10, 0, 0, 2);
+    d.payload = net::serialize_tcp(segment, d.header.src, d.header.dst);
+    ASSERT_TRUE(pair.a.ip().send(std::move(d)).ok());
+    pair.net.run_for(sim::milliseconds(5));
+  };
+  // Two in-order segments fill the 1,000-byte window with held bytes; the
+  // second is clipped at the window's edge.
+  forge(0, 600);
+  forge(600, 600);
+  ASSERT_EQ(server->undeposited_in_order(), 1000u);
+  ASSERT_EQ(server->stats().duplicate_segments_seen, 0u);
+
+  // The second one again, as a client retransmission: it overlaps the
+  // held bytes and runs past the full window.  It is old data, and the
+  // failure estimator must hear about it.
+  forge(600, 600);
+  EXPECT_EQ(server->stats().duplicate_segments_seen, 1u);
+  EXPECT_EQ(gate.client_retransmissions, 1);
+  EXPECT_EQ(server->undeposited_in_order(), 1000u);
 }
 
 TEST(TcpOptionsBehaviour, NagleCoalescesAndNodelayDoesNot) {

@@ -63,14 +63,12 @@ std::ostream& operator<<(std::ostream& out, const RunDigest& d) {
   return out << digests;
 }
 
-/// Metrics left out of the goldens: the gate-cache telemetry (how often a
-/// gate check was answered from the cached snapshot, which depends on how
-/// the input path reaches the gates, not on what it simulates), and
-/// process-global counters that accumulate across Networks in one test
-/// binary (datapath.*, scheduler.alloc_fallbacks).  The recording build
-/// also left out its header-prediction hit and miss counters.
+/// Metrics left out of the goldens: process-global counters that
+/// accumulate across Networks in one test binary (datapath.*,
+/// scheduler.alloc_fallbacks).  The recording build also left out its
+/// header-prediction hit and miss counters and its send-gate cache
+/// counter.
 bool excluded_metric(const std::string& node, const std::string& name) {
-  if (name == "ftcp.gate.cached_checks") return true;
   if (node == "datapath") return true;
   if (name == "scheduler.alloc_fallbacks") return true;
   return false;

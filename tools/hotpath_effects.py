@@ -149,11 +149,13 @@ CONTRACT_BOUNDARIES = {
     # The ft-hook virtual interface (TcpConnectionHooks, tcp_types.hpp):
     # the replication work behind these (the §4.3 gates, retransmission
     # and lifecycle reports) is the ftcp layer's own budget, gated by the
-    # failover benches.  The send gate's cached compare keeps
-    # transmit_limit off the warm path.
+    # failover benches.  Each deposit asks deposit_limit and every
+    # output() asks transmit_limit.
     "deposit_limit": "ft-hook virtual: the §4.3 deposit gate",
-    "transmit_limit": "ft-hook virtual: send-gate cache-miss path",
-    "gate_marks": "ft-hook virtual: gate snapshot refresh",
+    "transmit_limit": "ft-hook virtual: the §4.3 send gate, asked on "
+                      "every output()",
+    "gate_marks": "ft-hook virtual: the gate marks the invariant "
+                  "checks audit against",
     "filter_segment": "ft-hook virtual: backup swallow decision",
     "on_client_retransmission": "ft-hook virtual: loss-recovery path",
     "on_retransmission_timeout": "ft-hook virtual: failure-signal path",
