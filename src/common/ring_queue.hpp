@@ -10,7 +10,8 @@
 // deque's chunked layout denied.
 //
 // Only the operations the TCP buffers need are provided: append at the
-// tail, drop from the head, random-access reads, and ranged copy-out.
+// tail, drop from the head, random-access reads, and ranged reads (as
+// borrowed runs, or copied out).
 #pragma once
 
 #include <cassert>
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -92,16 +94,29 @@ class RingQueue {
     head_ = count_ == 0 ? 0 : wrap(head_ + n);
   }
 
+  /// Elements [from, from + len) as at most two contiguous runs: `head`,
+  /// then `tail` where the range wraps past the end of the allocation.
+  /// The runs borrow the ring: valid until it is next appended to or
+  /// cleared.
+  struct Runs {
+    std::span<const T> head;
+    std::span<const T> tail;
+  };
+  Runs runs(std::size_t from, std::size_t len) const {
+    if (len == 0) return {};  // any `from`, even one outside the queue
+    assert(from + len <= count_);
+    const std::size_t start = wrap(head_ + from);
+    const std::size_t chunk = std::min(len, buf_.size() - start);
+    return {{buf_.data() + start, chunk}, {buf_.data(), len - chunk}};
+  }
+
   /// Appends elements [from, from + len) of the queue to `out`.
   void copy_range(std::size_t from, std::size_t len,
                   std::vector<T>& out) const {
-    assert(from + len <= count_);
-    if (len == 0) return;
-    const std::size_t start = wrap(head_ + from);
-    const std::size_t chunk = std::min(len, buf_.size() - start);
+    const Runs r = runs(from, len);
     out.reserve(out.size() + len);
-    out.insert(out.end(), buf_.data() + start, buf_.data() + start + chunk);
-    out.insert(out.end(), buf_.data(), buf_.data() + (len - chunk));
+    out.insert(out.end(), r.head.begin(), r.head.end());
+    out.insert(out.end(), r.tail.begin(), r.tail.end());
   }
 
   void clear() {

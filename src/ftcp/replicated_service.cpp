@@ -247,7 +247,8 @@ void ReplicatedService::track_gate(
 }
 
 bool ReplicatedService::filter_segment(tcp::TcpConnection& connection,
-                                       const net::TcpSegment& segment) {
+                                       const net::TcpHeader& header,
+                                       std::size_t payload_len) {
   bool emit = config_.mode == tcp::ReplicaMode::primary;
 #if HYDRANET_INVARIANTS
   if (!emit && test_force_emission_) emit = true;
@@ -260,8 +261,7 @@ bool ReplicatedService::filter_segment(tcp::TcpConnection& connection,
     HN_INVARIANT(backup_silence,
                  config_.mode == tcp::ReplicaMode::primary,
                  "non-primary replica emitted seq %u (%zu payload bytes) on %s",
-                 segment.header.seq, segment.payload.size(),
-                 connection.key().to_string().c_str());
+                 header.seq, payload_len, connection.key().to_string().c_str());
 #if HYDRANET_INVARIANTS
     if (config_.mode != tcp::ReplicaMode::primary) {
       verify::mark_backup_emission(verify::flow_key(
@@ -272,10 +272,10 @@ bool ReplicatedService::filter_segment(tcp::TcpConnection& connection,
   }
 
   // Backup: strip the flow-control fields and pass them up the chain; the
-  // packet itself is discarded (never reaches the client).
-  if (!segment.header.rst) {
+  // packet is never built (nothing reaches the client).
+  if (!header.rst) {
     ConnState& state = state_for(connection.key());
-    std::uint32_t virtual_snd = segment.header.seq + segment.seq_length();
+    std::uint32_t virtual_snd = header.seq + header.seq_length(payload_len);
     std::uint32_t rcv = connection.rcv_nxt_wire();
     if (!state.reported || gt(virtual_snd, state.reported_snd) ||
         gt(rcv, state.reported_rcv)) {

@@ -97,7 +97,8 @@ class ReplicatedService final : public tcp::TcpConnectionHooks {
       const tcp::TcpConnection& connection,
                                std::uint32_t window_limit) override;
   HN_SHARD_AFFINE bool filter_segment(tcp::TcpConnection& connection,
-                      const net::TcpSegment& segment) override;
+                                      const net::TcpHeader& header,
+                                      std::size_t payload_len) override;
   HN_SHARD_AFFINE void on_client_retransmission(
       tcp::TcpConnection& connection) override;
   HN_SHARD_AFFINE void on_retransmission_timeout(

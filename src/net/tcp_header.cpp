@@ -16,8 +16,11 @@ std::string TcpHeader::flags_string() const {
 
 Bytes serialize_tcp(const TcpSegment& segment, Ipv4Address src,
                     Ipv4Address dst) {
-  const TcpHeader& h = segment.header;
+  return serialize_tcp(segment.header, segment.payload.view(), {}, src, dst);
+}
 
+Bytes serialize_tcp(const TcpHeader& h, BytesView head, BytesView tail,
+                    Ipv4Address src, Ipv4Address dst) {
   // Assemble the options region, padded with NOPs to a 4-byte multiple.
   Bytes options;
   {
@@ -49,7 +52,8 @@ Bytes serialize_tcp(const TcpSegment& segment, Ipv4Address src,
     HN_EFFECT_ESCAPE_END()
   }
   const std::size_t header_len = TcpHeader::kSize + options.size();
-  auto total = static_cast<std::uint16_t>(header_len + segment.payload.size());
+  auto total =
+      static_cast<std::uint16_t>(header_len + head.size() + tail.size());
 
   Bytes wire = acquire_pooled_bytes(total);
   ByteWriter w(wire);
@@ -69,7 +73,8 @@ Bytes serialize_tcp(const TcpSegment& segment, Ipv4Address src,
   w.u16(0);  // checksum placeholder
   w.u16(0);  // urgent pointer (unused)
   w.raw(options);
-  w.raw(segment.payload);
+  w.raw(head);
+  w.raw(tail);
 
   std::uint32_t acc = pseudo_header_sum(src, dst, IpProto::tcp, total);
   std::uint16_t checksum = checksum_finish(checksum_accumulate(wire, acc));

@@ -54,6 +54,13 @@ struct TcpHeader {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sack_blocks;
 
   std::string flags_string() const;
+
+  /// Sequence-number length of a segment with this header carrying
+  /// `payload_len` bytes: the payload plus one for SYN and FIN each.
+  std::uint32_t seq_length(std::size_t payload_len) const {
+    return static_cast<std::uint32_t>(payload_len) + (syn ? 1 : 0) +
+           (fin ? 1 : 0);
+  }
 };
 
 /// A TCP segment: header + payload, the unit the TCP machinery operates on.
@@ -64,14 +71,18 @@ struct TcpSegment {
   TcpHeader header;
   CowBytes payload;
 
-  /// Sequence-number length: payload bytes plus one for SYN and FIN each.
   std::uint32_t seq_length() const {
-    return static_cast<std::uint32_t>(payload.size()) + (header.syn ? 1 : 0) +
-           (header.fin ? 1 : 0);
+    return header.seq_length(payload.size());
   }
 };
 
-/// Serialises a segment with a valid pseudo-header checksum.
+/// Serialises `header` followed by a payload given as two runs, `head` then
+/// `tail` (either may be empty), with a valid pseudo-header checksum.  The
+/// payload bytes are copied once, straight into the pooled wire buffer.
+Bytes serialize_tcp(const TcpHeader& header, BytesView head, BytesView tail,
+                    Ipv4Address src, Ipv4Address dst);
+
+/// Serialises a whole segment (resets, tests): the same wire bytes.
 Bytes serialize_tcp(const TcpSegment& segment, Ipv4Address src,
                     Ipv4Address dst);
 

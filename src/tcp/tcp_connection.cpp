@@ -234,7 +234,7 @@ void TcpConnection::start_connect() {
   set_state(TcpState::syn_sent);
   snd_una_ = 0;
   snd_nxt_ = 0;
-  send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/false, false);
+  send_segment(0, 0, /*syn=*/true, /*fin=*/false, /*ack=*/false, false);
   snd_nxt_ = 1;
   snd_max_ = 1;
   arm_rto();
@@ -249,7 +249,7 @@ void TcpConnection::start_passive(std::uint32_t iss,
   set_state(TcpState::syn_rcvd);
   rcv_nxt_ = 1;  // consumed the peer's SYN (offset 0)
   snd_una_ = 0;
-  send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
+  send_segment(0, 0, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
   snd_nxt_ = 1;
   snd_max_ = 1;
   // The client's window is unknown until its first ACK; assume one MSS so
@@ -457,7 +457,7 @@ void TcpConnection::process_syn_sent(const net::TcpSegment& segment) {
   } else {
     // Simultaneous open: both sides sent SYN.
     set_state(TcpState::syn_rcvd);
-    send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
+    send_segment(0, 0, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
     arm_rto();
   }
 }
@@ -484,7 +484,7 @@ void TcpConnection::process_general(const net::TcpSegment& segment) {
       seq_to_off_rcv(h.seq) == 0) {
     stats_.duplicate_segments_seen++;
     if (hooks_) hooks_->on_client_retransmission(*this);
-    send_segment(0, {}, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
+    send_segment(0, 0, /*syn=*/true, /*fin=*/false, /*ack=*/true, false);
     return;
   }
 
@@ -663,18 +663,8 @@ void TcpConnection::process_ack(const net::TcpSegment& segment) {
           // SACK repair: fill holes precisely instead of blind go-back.
           sack_hole_cursor_ = snd_una_;
           (void)retransmit_next_hole();
-        } else if (fin_queued_ && snd_una_ == fin_off_) {
-          send_segment(snd_una_, {}, false, /*fin=*/true, true, false);
-        } else if (snd_una_ >= send_data_base_ &&
-                   snd_una_ < send_data_base_ + send_data_.size()) {
-          std::size_t from = snd_una_ - send_data_base_;
-          std::size_t len = std::min<std::size_t>(
-              effective_mss(), send_data_.size() - from);
-          Bytes payload;
-          send_data_.copy_range(from, len, payload);
-          bool fin_now = fin_queued_ && snd_una_ + len == fin_off_ &&
-                         len < effective_mss();
-          send_segment(snd_una_, payload, false, fin_now, true, true);
+        } else {
+          retransmit_one_segment();
         }
       } else if (dup_acks_ > 3 && sack_enabled_ && !scoreboard_.empty()) {
         // Each further duplicate ACK releases one more hole repair (the
@@ -882,17 +872,14 @@ void TcpConnection::output() {
         !fin_queued_) {
       break;
     }
-    std::size_t from = snd_nxt_ - send_data_base_;
-    Bytes payload;
-    send_data_.copy_range(from, len, payload);
-    bool fin_now = false;  // FIN rides its own segment for gating clarity
     bool psh = (snd_nxt_ + len == data_end);
     if (!rtt_sampling_ && rto_backoff_ == 0) {
       rtt_sampling_ = true;
       rtt_sample_off_ = snd_nxt_ + len;
       rtt_sample_sent_at_ = scheduler_.now();
     }
-    send_segment(snd_nxt_, payload, false, fin_now, true, psh);
+    // The FIN rides its own segment (below) for gating clarity.
+    send_segment(snd_nxt_, len, false, /*fin=*/false, true, psh);
     snd_nxt_ += len;
     snd_max_ = std::max(snd_max_, snd_nxt_);
     sent_any = true;
@@ -901,7 +888,7 @@ void TcpConnection::output() {
   // FIN once all data is out (and the gate permits it).
   if (fin_queued_ && snd_nxt_ == data_end && snd_nxt_ == fin_off_ &&
       fin_off_ < limit) {
-    send_segment(snd_nxt_, {}, false, /*fin=*/true, true, false);
+    send_segment(snd_nxt_, 0, false, /*fin=*/true, true, false);
     snd_nxt_ += 1;
     snd_max_ = std::max(snd_max_, snd_nxt_);
     sent_any = true;
@@ -924,10 +911,9 @@ void TcpConnection::output() {
 #endif
 }
 
-void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
+void TcpConnection::send_segment(std::uint64_t seq_off, std::size_t len,
                                  bool syn, bool fin, bool ack, bool psh) {
-  net::TcpSegment segment;
-  net::TcpHeader& h = segment.header;
+  net::TcpHeader h;
   h.src_port = key_.local.port;
   h.dst_port = key_.remote.port;
   h.seq = off_to_seq_snd(seq_off);
@@ -953,9 +939,6 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
       HN_EFFECT_ESCAPE_END()
     }
   }
-  // copy_of routes the payload copy through the warm packet pool; the
-  // iterator-pair assign it replaces allocated a fresh vector per segment.
-  segment.payload = CowBytes::copy_of(payload);
 
   stats_.segments_sent++;
   note_activity();  // outbound traffic resets keepalive
@@ -968,9 +951,10 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
     }
   }
 
-  if (hooks_ && !hooks_->filter_segment(*this, segment)) {
-    // Backup replica: the packet is swallowed; its flow-control fields have
-    // been captured by the hook and travel the acknowledgement channel.
+  if (hooks_ && !hooks_->filter_segment(*this, h, len)) {
+    // Backup replica: the segment is swallowed before any payload byte is
+    // read; its flow-control fields have been captured by the hook and
+    // travel the acknowledgement channel.
     stats_.segments_swallowed++;
     return;
   }
@@ -983,8 +967,7 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
   // ctx would chain ACK-clocked transmissions into whatever old trace
   // triggered the ACK, keeping one sampled root alive forever and
   // defeating sampling entirely.)
-  std::uint64_t parent =
-      payload.empty() ? trace2::current_ctx() : trace_root_ctx_;
+  std::uint64_t parent = len == 0 ? trace2::current_ctx() : trace_root_ctx_;
   std::uint64_t span = trace2::begin_child(stack_.ip().trace_ring(), parent);
   sim::TimePoint span_start = scheduler_.now();
 
@@ -992,29 +975,31 @@ void TcpConnection::send_segment(std::uint64_t seq_off, BytesView payload,
   datagram.header.protocol = net::IpProto::tcp;
   datagram.header.src = key_.local.address;
   datagram.header.dst = key_.remote.address;
-  datagram.payload =
-      net::serialize_tcp(segment, key_.local.address, key_.remote.address);
+  // The one read of the payload: send ring straight into the wire buffer.
+  const auto payload = send_data_.runs(
+      static_cast<std::size_t>(seq_off - send_data_base_), len);
+  datagram.payload = net::serialize_tcp(h, payload.head, payload.tail,
+                                        key_.local.address, key_.remote.address);
   datagram.trace_ctx = span;
   (void)stack_.ip().send(std::move(datagram));
   trace2::commit(stack_.ip().trace_ring(), span, parent,
                  trace2::span::kTcpSegmentize, span_start, h.seq,
-                 static_cast<std::uint32_t>(payload.size()));
+                 static_cast<std::uint32_t>(len));
 }
 
 void TcpConnection::send_pure_ack() {
-  send_segment(snd_nxt_, {}, false, false, true, false);
+  send_segment(snd_nxt_, 0, false, false, true, false);
 }
 
 void TcpConnection::send_rst(std::uint32_t seq) {
-  net::TcpSegment segment;
-  net::TcpHeader& h = segment.header;
+  net::TcpHeader h;
   h.src_port = key_.local.port;
   h.dst_port = key_.remote.port;
   h.seq = seq;
   h.rst = true;
 
   stats_.segments_sent++;
-  if (hooks_ && !hooks_->filter_segment(*this, segment)) {
+  if (hooks_ && !hooks_->filter_segment(*this, h, 0)) {
     stats_.segments_swallowed++;
     return;
   }
@@ -1022,8 +1007,8 @@ void TcpConnection::send_rst(std::uint32_t seq) {
   datagram.header.protocol = net::IpProto::tcp;
   datagram.header.src = key_.local.address;
   datagram.header.dst = key_.remote.address;
-  datagram.payload =
-      net::serialize_tcp(segment, key_.local.address, key_.remote.address);
+  datagram.payload = net::serialize_tcp(h, {}, {}, key_.local.address,
+                                        key_.remote.address);
   (void)stack_.ip().send(std::move(datagram));
 }
 
@@ -1087,11 +1072,11 @@ void TcpConnection::on_rto() {
 
 void TcpConnection::retransmit_one_segment() {
   if (state_ == TcpState::syn_sent) {
-    send_segment(0, {}, /*syn=*/true, false, /*ack=*/false, false);
+    send_segment(0, 0, /*syn=*/true, false, /*ack=*/false, false);
   } else if (state_ == TcpState::syn_rcvd) {
-    send_segment(0, {}, /*syn=*/true, false, /*ack=*/true, false);
+    send_segment(0, 0, /*syn=*/true, false, /*ack=*/true, false);
   } else if (fin_queued_ && snd_una_ == fin_off_) {
-    send_segment(snd_una_, {}, false, /*fin=*/true, true, false);
+    send_segment(snd_una_, 0, false, /*fin=*/true, true, false);
   } else if (snd_una_ >= send_data_base_ &&
              snd_una_ < send_data_base_ + send_data_.size()) {
     std::size_t from = snd_una_ - send_data_base_;
@@ -1103,9 +1088,7 @@ void TcpConnection::retransmit_one_segment() {
     std::size_t len = static_cast<std::size_t>(std::min<std::uint64_t>(
         {effective_mss(), send_data_.size() - from, sent_extent}));
     if (len == 0) return;
-    Bytes payload;
-    send_data_.copy_range(from, len, payload);
-    send_segment(snd_una_, payload, false, false, true, true);
+    send_segment(snd_una_, len, false, false, true, true);
   }
 }
 
@@ -1126,10 +1109,7 @@ void TcpConnection::on_probe() {
   // Send one byte into the closed window; the peer's response re-announces
   // its window (classic window probe).
   stats_.zero_window_probes++;
-  std::size_t from = snd_nxt_ - send_data_base_;
-  Bytes payload;
-  send_data_.copy_range(from, 1, payload);
-  send_segment(snd_nxt_, payload, false, false, true, true);
+  send_segment(snd_nxt_, 1, false, false, true, true);
   snd_nxt_ += 1;
   snd_max_ = std::max(snd_max_, snd_nxt_);
   arm_rto();
@@ -1186,7 +1166,7 @@ void TcpConnection::send_keepalive_probe() {
   // acceptable and elicit nothing; this one fails the peer's sequence test
   // and forces a duplicate ACK.  send_segment() refreshes last_activity_,
   // which pushes the next probe one interval out.
-  send_segment(snd_nxt_ - 1, {}, false, false, true, false);
+  send_segment(snd_nxt_ - 1, 0, false, false, true, false);
 }
 
 void TcpConnection::sack_merge(std::uint64_t left, std::uint64_t right) {
@@ -1229,13 +1209,10 @@ bool TcpConnection::retransmit_next_hole() {
     }
   }
   if (cursor < send_data_base_) return false;  // SYN/odd state: no repair
-  std::size_t from = static_cast<std::size_t>(cursor - send_data_base_);
   std::size_t len = static_cast<std::size_t>(
       std::min<std::uint64_t>(effective_mss(), hole_end - cursor));
-  Bytes payload;
-  send_data_.copy_range(from, len, payload);
   stats_.sack_retransmits++;
-  send_segment(cursor, payload, false, false, true, true);
+  send_segment(cursor, len, false, false, true, true);
   sack_hole_cursor_ = cursor + len;
   return true;
 }

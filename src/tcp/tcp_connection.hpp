@@ -217,7 +217,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   // Output path.
   void output();
-  void send_segment(std::uint64_t seq_off, BytesView payload, bool syn,
+  /// Sends the segment at `seq_off` carrying `len` send-buffer bytes.  The
+  /// ft hook filters its header first; only a segment that reaches the wire
+  /// has its payload read, once, from the send ring into the wire buffer.
+  void send_segment(std::uint64_t seq_off, std::size_t len, bool syn,
                     bool fin, bool ack, bool psh);
   void send_pure_ack();
   void send_rst(std::uint32_t seq);

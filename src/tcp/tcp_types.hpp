@@ -153,11 +153,13 @@ class TcpConnectionHooks {
       const TcpConnection& connection,
                                        std::uint32_t window_limit) = 0;
 
-  /// Filters every outgoing segment.  Returning false swallows it (backup
+  /// Filters every outgoing segment, given its header and payload length
+  /// before any payload byte is read.  Returning false swallows it (backup
   /// behaviour: the flow-control fields have been observed and travel up
-  /// the acknowledgement channel instead; the packet itself is discarded).
+  /// the acknowledgement channel instead; no packet is ever built).
   HN_SHARD_AFFINE virtual bool filter_segment(TcpConnection& connection,
-                              const net::TcpSegment& segment) = 0;
+                                              const net::TcpHeader& header,
+                                              std::size_t payload_len) = 0;
 
   /// Failure estimator input: a client retransmission was observed
   /// (duplicate data at or below rcv_nxt, or a duplicate SYN).

@@ -1,6 +1,8 @@
 // Stock TCP behaviour: handshake, transfer, flow control, teardown.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_util.hpp"
 
 namespace hydranet::tcp {
@@ -322,7 +324,8 @@ TEST(TcpFlowControl, ZeroWindowStallsThenResumes) {
 
 /// A deposit gate that opens at most `step` bytes past RCV.NXT per check
 /// and binds nothing else; it counts the client retransmissions the
-/// connection reports.
+/// connection reports, and swallows every outgoing segment (as a backup
+/// does) once `swallow` is set.
 class PrefixGate final : public TcpConnectionHooks {
  public:
   explicit PrefixGate(std::uint32_t step) : step_(step) {}
@@ -335,8 +338,9 @@ class PrefixGate final : public TcpConnectionHooks {
                                std::uint32_t window_limit) override {
     return window_limit;
   }
-  bool filter_segment(TcpConnection&, const net::TcpSegment&) override {
-    return true;
+  bool filter_segment(TcpConnection&, const net::TcpHeader&,
+                      std::size_t) override {
+    return !swallow;
   }
   void on_client_retransmission(TcpConnection&) override {
     ++client_retransmissions;
@@ -346,6 +350,7 @@ class PrefixGate final : public TcpConnectionHooks {
   void on_connection_closed(TcpConnection&) override {}
 
   int client_retransmissions = 0;
+  bool swallow = false;
 
  private:
   std::uint32_t step_;
@@ -449,6 +454,40 @@ TEST(TcpGate, RetransmissionOverHeldBytesPastAFullWindowIsADuplicate) {
   EXPECT_EQ(server->stats().duplicate_segments_seen, 1u);
   EXPECT_EQ(gate.client_retransmissions, 1);
   EXPECT_EQ(server->undeposited_in_order(), 1000u);
+}
+
+TEST(TcpGate, SwallowedSegmentsBuildNoPacket) {
+  Pair pair;
+  PrefixGate gate(std::numeric_limits<std::uint32_t>::max());
+  TcpStack::PortOptions port;
+  port.hooks = &gate;
+  pair.b.tcp().set_port_options(80, port);
+  std::shared_ptr<TcpConnection> server;
+  ASSERT_TRUE(pair.b.tcp()
+                  .listen(net::Ipv4Address(), 80,
+                          [&](std::shared_ptr<TcpConnection> c) {
+                            server = std::move(c);
+                          })
+                  .ok());
+  auto client =
+      pair.a.tcp().connect(net::Ipv4Address(), {ip(10, 0, 0, 2), 80}).value();
+  pair.net.run_for(sim::milliseconds(100));
+  ASSERT_NE(server, nullptr);
+  ASSERT_EQ(server->state(), TcpState::established);
+
+  // From here on the server behaves as a backup.  The hook swallows each
+  // segment on its header alone, so neither the first transmissions nor
+  // the timer's retransmissions may copy a byte or take a pooled buffer.
+  gate.swallow = true;
+  const DatapathCounters before = datapath_totals();
+  ASSERT_TRUE(server->send(ttcp_pattern(32 * 1024, 0)).ok());
+  pair.net.run_for(sim::seconds(5));
+  const DatapathCounters after = datapath_totals();
+  EXPECT_GE(server->stats().segments_swallowed, 2u);
+  EXPECT_GE(server->stats().timeouts, 1u);
+  EXPECT_EQ(after.copies, before.copies);
+  EXPECT_EQ(after.pool_hits + after.pool_misses,
+            before.pool_hits + before.pool_misses);
 }
 
 TEST(TcpOptionsBehaviour, NagleCoalescesAndNodelayDoesNot) {

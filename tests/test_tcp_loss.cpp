@@ -54,6 +54,61 @@ TEST(TcpLoss, SingleDropTriggersFastRetransmit) {
   EXPECT_EQ(push.conn->stats().timeouts, 0u);
 }
 
+TEST(TcpLoss, FastRetransmitNeverReachesPastTheHighestSentByte) {
+  Pair pair;
+  // Frames of 50+ bytes are the 16-byte data segments (never the handshake
+  // or a pure ACK): the first one is lost, and the rest of the flight
+  // raises the duplicate ACKs.
+  pair.link.set_loss_model(std::make_unique<testutil::DropNth>(
+      std::vector<std::uint64_t>{1}, /*min_size=*/50));
+  // A 1,000-byte receive window keeps the flight under one MSS while the
+  // send buffer holds more, so a retransmission sized by the MSS alone
+  // would carry bytes that were never sent.
+  TcpOptions server_options;
+  server_options.recv_buffer_capacity = 1000;
+  testutil::ByteSinkServer server(pair.b, net::Ipv4Address(), 80, false,
+                                  server_options);
+  auto conn = pair.a.tcp()
+                  .connect(net::Ipv4Address(), {ip(10, 0, 0, 2), 80},
+                           apps::period_tcp_options())
+                  .value();
+
+  // Counts client data segments that start below the highest stream
+  // offset sent so far and end above it.
+  std::uint64_t highest = 0;
+  int overruns = 0;
+  pair.link.set_tap([&](const link::NetworkInterface& from,
+                        const PacketBuffer& frame) {
+    if (from.address() != ip(10, 0, 0, 1)) return;
+    auto datagram = net::Datagram::parse(frame);
+    ASSERT_TRUE(datagram.ok());
+    auto segment = net::parse_tcp(datagram.value().payload,
+                                  datagram.value().header.src,
+                                  datagram.value().header.dst);
+    ASSERT_TRUE(segment.ok());
+    if (segment.value().payload.empty()) return;
+    const std::uint64_t start = segment.value().header.seq - conn->iss();
+    const std::uint64_t end = start + segment.value().payload.size();
+    if (start < highest && end > highest) ++overruns;
+    highest = std::max(highest, end);
+  });
+
+  const std::size_t writes = 256;
+  const std::size_t write_size = 16;
+  conn->set_on_established([&] {
+    for (std::size_t i = 0; i < writes; ++i) {
+      ASSERT_TRUE(conn->send(ttcp_pattern(write_size, i * write_size)).ok());
+    }
+  });
+  pair.net.run_for(sim::seconds(10));
+
+  EXPECT_EQ(overruns, 0);
+  EXPECT_GE(conn->stats().fast_retransmits, 1u);
+  EXPECT_EQ(server.received.size(), writes * write_size);
+  EXPECT_EQ(fnv1a(server.received),
+            fnv1a(ttcp_pattern(writes * write_size, 0)));
+}
+
 TEST(TcpLoss, TailDropRecoversViaTimeout) {
   Pair pair;
   testutil::ByteSinkServer server(pair.b, net::Ipv4Address(), 80);

@@ -137,7 +137,6 @@ EFFECT_ROOTS = [
 POOL_COMPONENTS = {
     "src/common/slab.hpp", "src/common/slab.cpp",
     "src/common/packet_buffer.hpp", "src/common/packet_buffer.cpp",
-    "src/common/ring_queue.hpp",
     "src/common/inline_function.hpp",
 }
 
@@ -156,7 +155,9 @@ CONTRACT_BOUNDARIES = {
                       "every output()",
     "gate_marks": "ft-hook virtual: the gate marks the invariant "
                   "checks audit against",
-    "filter_segment": "ft-hook virtual: backup swallow decision",
+    "filter_segment": "ft-hook virtual: backup swallow decision, asked "
+                      "on the header and payload length before any "
+                      "payload byte is read",
     "on_client_retransmission": "ft-hook virtual: loss-recovery path",
     "on_retransmission_timeout": "ft-hook virtual: failure-signal path",
     "on_established": "ft-hook virtual: connection lifecycle",

@@ -52,6 +52,9 @@ struct Options {
   bool span_trace = false;          ///< --trace: causal span tracer on
   std::size_t trace_sample = 1;     ///< --trace-sample: every Nth write
   std::string trace_out;            ///< --trace-out: span export file
+  /// The human-readable report (run lines, post-mortem, summary, "written
+  /// to" lines): stderr while a document goes to stdout, so stdout parses.
+  std::FILE* text = stdout;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -77,6 +80,8 @@ struct Options {
       "  --trace-sample N   trace every Nth application write (default 1)\n"
       "  --trace-out FILE   span export: .jsonl = spans JSONL, otherwise\n"
       "                     Chrome/Perfetto trace JSON (- = stdout)\n"
+      "                     (one of --stats/--trace-out may be -; the text\n"
+      "                     report then goes to stderr)\n"
       "  --log-level L      trace|debug|info|warn|error|off (default error)\n",
       argv0);
   std::exit(2);
@@ -172,6 +177,13 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  if (options.stats_file == "-" && options.trace_out == "-") {
+    std::fprintf(stderr, "--stats and --trace-out cannot both be -\n");
+    std::exit(2);
+  }
+  if (options.stats_file == "-" || options.trace_out == "-") {
+    options.text = stderr;
+  }
   return options;
 }
 
@@ -205,26 +217,28 @@ bool export_stats(const Options& options, const stats::Registry& registry) {
     return false;
   }
   if (options.stats_file != "-") {
-    std::printf("stats written to %s\n", options.stats_file.c_str());
+    std::fprintf(options.text, "stats written to %s\n",
+                 options.stats_file.c_str());
   }
   return true;
 }
 
-void print_stats_summary(const stats::Registry& registry) {
-  std::printf("\n%-22s %10s %10s %8s %6s %8s %8s\n", "node", "tcp.out",
-              "tcp.in", "rexmit", "rto", "gates", "drops");
+void print_stats_summary(std::FILE* out, const stats::Registry& registry) {
+  std::fprintf(out, "\n%-22s %10s %10s %8s %6s %8s %8s\n", "node", "tcp.out",
+               "tcp.in", "rexmit", "rto", "gates", "drops");
   for (const auto& [node, metrics] : registry.nodes()) {
     auto c = [&](const char* name) {
       return static_cast<unsigned long long>(
           registry.counter_value(node, name));
     };
-    std::printf("%-22s %10llu %10llu %8llu %6llu %8llu %8llu\n", node.c_str(),
-                c("tcp.segments_out"), c("tcp.segments_in"),
-                c("tcp.retransmits"), c("tcp.rto_firings"),
-                c("ftcp.deposit_gate_stalls") + c("ftcp.send_gate_stalls"),
-                c("link.queue_drops") + c("link.loss_drops"));
+    std::fprintf(out, "%-22s %10llu %10llu %8llu %6llu %8llu %8llu\n",
+                 node.c_str(), c("tcp.segments_out"), c("tcp.segments_in"),
+                 c("tcp.retransmits"), c("tcp.rto_firings"),
+                 c("ftcp.deposit_gate_stalls") + c("ftcp.send_gate_stalls"),
+                 c("link.queue_drops") + c("link.loss_drops"));
   }
-  std::printf("timeline: %zu events\n", registry.timeline().events().size());
+  std::fprintf(out, "timeline: %zu events\n",
+               registry.timeline().events().size());
 }
 
 // ---- span tracing -----------------------------------------------------------
@@ -261,13 +275,14 @@ struct TraceSession {
       return false;
     }
     if (f != "-") {
-      std::printf("trace written to %s (%llu spans, %llu dropped, "
-                  "%llu/%llu roots sampled)\n",
-                  f.c_str(),
-                  static_cast<unsigned long long>(recorder->spans_recorded()),
-                  static_cast<unsigned long long>(recorder->spans_dropped()),
-                  static_cast<unsigned long long>(recorder->roots_sampled()),
-                  static_cast<unsigned long long>(recorder->roots_seen()));
+      std::fprintf(options.text,
+                   "trace written to %s (%llu spans, %llu dropped, "
+                   "%llu/%llu roots sampled)\n",
+                   f.c_str(),
+                   static_cast<unsigned long long>(recorder->spans_recorded()),
+                   static_cast<unsigned long long>(recorder->spans_dropped()),
+                   static_cast<unsigned long long>(recorder->roots_sampled()),
+                   static_cast<unsigned long long>(recorder->roots_seen()));
     }
     return true;
   }
@@ -310,8 +325,8 @@ RunResult run_ttcp_once(const Options& options, testbed::Testbed& bed,
     bed.net().run_for(sim::milliseconds(crash_at_ms));
     if (!transmitter.report().finished &&
         crash_index < static_cast<int>(bed.server_count())) {
-      std::printf("t=%.3fs crashing server %d\n", bed.net().now().seconds(),
-                  crash_index);
+      std::fprintf(options.text, "t=%.3fs crashing server %d\n",
+                   bed.net().now().seconds(), crash_index);
       bed.crash_server(static_cast<std::size_t>(crash_index));
 
       // Watch the client's acknowledged extent.  ACKs already in flight
@@ -366,20 +381,22 @@ int cmd_ttcp(const Options& options) {
   testbed::Testbed bed(make_config(options));
   TraceSession session(options, bed);
   RunResult result = run_ttcp_once(options, bed);
-  std::printf("setup=%s backups=%d size=%zu total=%zu loss=%.3f seed=%llu\n",
-              testbed::to_string(options.setup), options.backups,
-              options.write_size, options.total_bytes, options.loss,
-              static_cast<unsigned long long>(options.seed));
-  std::printf("throughput %.1f kB/s, %s, %.2f s, %llu retransmits, "
-              "%llu timeouts\n",
-              result.throughput_kBps,
-              result.finished ? "finished" : "DID NOT FINISH",
-              result.elapsed_s,
-              static_cast<unsigned long long>(result.retransmits),
-              static_cast<unsigned long long>(result.timeouts));
+  std::fprintf(options.text,
+               "setup=%s backups=%d size=%zu total=%zu loss=%.3f seed=%llu\n",
+               testbed::to_string(options.setup), options.backups,
+               options.write_size, options.total_bytes, options.loss,
+               static_cast<unsigned long long>(options.seed));
+  std::fprintf(options.text,
+               "throughput %.1f kB/s, %s, %.2f s, %llu retransmits, "
+               "%llu timeouts\n",
+               result.throughput_kBps,
+               result.finished ? "finished" : "DID NOT FINISH",
+               result.elapsed_s,
+               static_cast<unsigned long long>(result.retransmits),
+               static_cast<unsigned long long>(result.timeouts));
   if (!options.stats_file.empty()) {
     stats::Registry& registry = bed.stats();
-    print_stats_summary(registry);
+    print_stats_summary(options.text, registry);
     if (!export_stats(options, registry)) return 1;
   }
   if (!session.export_trace(options)) return 1;
@@ -387,7 +404,8 @@ int cmd_ttcp(const Options& options) {
 }
 
 int cmd_sweep(const Options& options) {
-  std::printf(
+  std::fprintf(
+      options.text,
       "csv,setup,size,kBps,retransmits,timeouts,deposit_stalls,send_stalls\n");
   for (std::size_t size : options.sizes) {
     Options one = options;
@@ -398,15 +416,15 @@ int cmd_sweep(const Options& options) {
     TraceSession session(one, bed);
     RunResult result = run_ttcp_once(one, bed);
     stats::Registry& registry = bed.stats();
-    std::printf("csv,%s,%zu,%.1f,%llu,%llu,%llu,%llu\n",
-                testbed::to_string(options.setup), size,
-                result.throughput_kBps,
-                static_cast<unsigned long long>(result.retransmits),
-                static_cast<unsigned long long>(result.timeouts),
-                static_cast<unsigned long long>(
-                    registry.total("ftcp.deposit_gate_stalls")),
-                static_cast<unsigned long long>(
-                    registry.total("ftcp.send_gate_stalls")));
+    std::fprintf(options.text, "csv,%s,%zu,%.1f,%llu,%llu,%llu,%llu\n",
+                 testbed::to_string(options.setup), size,
+                 result.throughput_kBps,
+                 static_cast<unsigned long long>(result.retransmits),
+                 static_cast<unsigned long long>(result.timeouts),
+                 static_cast<unsigned long long>(
+                     registry.total("ftcp.deposit_gate_stalls")),
+                 static_cast<unsigned long long>(
+                     registry.total("ftcp.send_gate_stalls")));
     if (!options.stats_file.empty() && size == options.sizes.back()) {
       // One registry per run; export the last size's (the CSV rows above
       // carry the per-size counters).
@@ -427,12 +445,13 @@ int cmd_failover(const Options& options) {
   TraceSession session(one, bed);
   RunResult result =
       run_ttcp_once(one, bed, options.crash_at_ms, options.crash_index);
-  std::printf("failover run: %s, %.1f kB/s end-to-end, %llu retransmits, "
-              "%llu timeouts\n",
-              result.finished ? "stream completed" : "STREAM FAILED",
-              result.throughput_kBps,
-              static_cast<unsigned long long>(result.retransmits),
-              static_cast<unsigned long long>(result.timeouts));
+  std::fprintf(options.text,
+               "failover run: %s, %.1f kB/s end-to-end, %llu retransmits, "
+               "%llu timeouts\n",
+               result.finished ? "stream completed" : "STREAM FAILED",
+               result.throughput_kBps,
+               static_cast<unsigned long long>(result.retransmits),
+               static_cast<unsigned long long>(result.timeouts));
 
   stats::Registry& registry = bed.stats();
   // Span-aware post-mortem: phase decomposition per crashed service plus
@@ -440,9 +459,9 @@ int cmd_failover(const Options& options) {
   // event timeline alone).
   std::fputs(
       trace2::postmortem_text(session.recorder, registry.timeline()).c_str(),
-      stdout);
+      options.text);
   if (!options.stats_file.empty()) {
-    print_stats_summary(registry);
+    print_stats_summary(options.text, registry);
     if (!export_stats(options, registry)) return 1;
   }
   if (!session.export_trace(options)) return 1;
